@@ -3,12 +3,19 @@
 Everything here works on plain Python ints (arbitrary precision) and is
 deterministic: trial division by a fixed prime table, then odd candidates,
 with a Miller-Rabin certificate to stop early once the cofactor is prime.
+
+Trial division is the expensive step, so it runs once per input and
+nothing is cached between calls.  A product such as r^2 D is never trial
+divided: its Factorization is built by merging exponents (``fr * fr * fD``
+for ``fr = factorize(r)``, ``fD = factorize(D)``), a divisor's
+Factorization is read off its parent's primes (``Factorization.divisor``),
+and every divisor list, tau, omega and Moebius value comes from the
+exponents of one Factorization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
 __all__ = [
@@ -63,7 +70,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=200_000)
 def _factor_tuple(n: int) -> tuple[tuple[int, int], ...]:
     out = []
     m = n
@@ -98,7 +104,11 @@ def _factor_tuple(n: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Prime factorization of a positive integer, exponents sorted by prime."""
+    """Prime factorization of a positive integer, exponents sorted by prime.
+
+    Products, divisors and the multiplicative functions are all computed
+    from the exponents; none of them factors anything again.
+    """
 
     value: int
     factors: tuple[tuple[int, int], ...]
@@ -108,6 +118,54 @@ class Factorization:
         for p, e in self.factors:
             n *= p**e
         return n
+
+    def __mul__(self, other: Factorization) -> Factorization:
+        """Factorization of the product, exponents merged."""
+        exps = dict(self.factors)
+        for p, e in other.factors:
+            exps[p] = exps.get(p, 0) + e
+        return Factorization(self.value * other.value, tuple(sorted(exps.items())))
+
+    def divisor(self, d: int) -> Factorization:
+        """Factorization of a divisor d of this value, read off its primes."""
+        if d < 1 or self.value % d:
+            raise ValueError(f"{d} does not divide {self.value}")
+        out = []
+        m = d
+        for p, _ in self.factors:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e:
+                out.append((p, e))
+        return Factorization(d, tuple(out))
+
+    def divisors(self) -> list[int]:
+        """All positive divisors, ascending."""
+        ds = [1]
+        for p, e in self.factors:
+            powers = [p**k for k in range(e + 1)]
+            ds = [d * pk for d in ds for pk in powers]
+        ds.sort()
+        return ds
+
+    def omega(self) -> int:
+        """Number of distinct prime divisors."""
+        return len(self.factors)
+
+    def tau(self) -> int:
+        """Number of positive divisors."""
+        t = 1
+        for _, e in self.factors:
+            t *= e + 1
+        return t
+
+    def mobius(self) -> int:
+        """0 when a square divides the value, else (-1)**omega."""
+        if any(e > 1 for _, e in self.factors):
+            return 0
+        return -1 if len(self.factors) % 2 else 1
 
 
 def factorize(n: int) -> Factorization:
@@ -119,10 +177,7 @@ def factorize(n: int) -> Factorization:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
-    ds = [1]
-    for p, e in factorize(n).factors:
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
+    return factorize(n).divisors()
 
 
 def squarefree_part(n: int) -> tuple[int, int]:
@@ -141,20 +196,14 @@ def is_squarefree(n: int) -> bool:
 
 def mobius(n: int) -> int:
     """Moebius function: 0 on non-squarefree n, else (-1)**omega(n)."""
-    fac = factorize(n).factors
-    if any(e > 1 for _, e in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
+    return factorize(n).mobius()
 
 
 def omega(n: int) -> int:
     """Number of distinct prime divisors (omega(1) = 0)."""
-    return len(factorize(n).factors)
+    return factorize(n).omega()
 
 
 def tau(n: int) -> int:
     """Number of positive divisors."""
-    t = 1
-    for _, e in factorize(n).factors:
-        t *= e + 1
-    return t
+    return factorize(n).tau()

@@ -4,15 +4,23 @@ Every class with second coordinate r comes from a divisor b of c = r^2 D in
 the half-open window sqrt(c) < b <= sqrt(3c): writing a = c/b, the candidate
 is p = (b-a)/2, q = (b+a)/2, which needs a = b (mod 2) and gcd(p, q) = 1.
 Window membership is tested exactly on integers (b^2 > c, b^2 <= 3c).
+
+Each call factors M and D once.  The factorizations of every r | M and of
+r^2 D are merged from those two, so r^2 D is never trial divided, and the
+per-divisor quantities (the divisors of r^2 D, tau, omega, Moebius) are
+computed once per divisor of M, not once per (r, g) pair.  The per-r helpers
+build r^2 D the same way from factorize(r) and factorize(D), and share one
+implementation of each count with count_report.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, sqrt
+from math import gcd, isqrt, sqrt
 
-from .arith import divisors, factorize, mobius, omega, tau
+from .arith import Factorization, factorize
 from .classes import DeterminantSpec, IwrLattice, SimilarityClass
 
 __all__ = [
@@ -31,6 +39,80 @@ __all__ = [
 ]
 
 
+def _factor_pair(r: int, D: int) -> tuple[Factorization, Factorization]:
+    if r < 1 or D < 1:
+        raise ValueError("r and D must be positive")
+    return factorize(r), factorize(D)
+
+
+def _r2d(r: int, D: int) -> Factorization:
+    fr, fD = _factor_pair(r, D)
+    return fr * fr * fD
+
+
+def _divisor_table(fM: Factorization, fD: Factorization) -> list[tuple[int, Factorization, Factorization]]:
+    """(r, factorization of r, factorization of r^2 D) for each r | M, ascending."""
+    table = []
+    for r in fM.divisors():
+        fr = fM.divisor(r)
+        table.append((r, fr, fr * fr * fD))
+    return table
+
+
+def _spec_table(spec: DeterminantSpec) -> list[tuple[int, Factorization, Factorization]]:
+    return _divisor_table(factorize(spec.M), factorize(spec.D))
+
+
+def _window_pairs(c: Factorization, include_p_zero: bool = False) -> list[tuple[int, int]]:
+    """(p, q) for each divisor b of c in the angle window with matching parity, ascending in q.
+
+    No gcd filter.  include_p_zero widens the window to b = sqrt(c).
+    """
+    n = c.value
+    ds = c.divisors()
+    # b^2 > n  <=>  b > isqrt(n);  b^2 >= n  <=>  b > isqrt(n - 1);  b^2 <= 3n  <=>  b <= isqrt(3n)
+    lo = bisect_right(ds, isqrt(n - 1) if include_p_zero else isqrt(n))
+    hi = bisect_right(ds, isqrt(3 * n), lo)
+    out = []
+    for b in ds[lo:hi]:
+        a = n // b
+        if (a + b) % 2 == 0:
+            out.append(((b - a) // 2, (a + b) // 2))
+    return out
+
+
+def _coprime(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    return [(p, q) for p, q in pairs if gcd(p, q) == 1]
+
+
+def _solutions(c: Factorization, include_p_zero: bool = False) -> list[tuple[int, int]]:
+    return _coprime(_window_pairs(c, include_p_zero))
+
+
+def _is_power_of_two(n: int) -> bool:
+    return n & (n - 1) == 0
+
+
+def _primitive(c: Factorization) -> int:
+    n = c.value
+    if n == 1:
+        return 0
+    w = c.omega()
+    if n % 2:
+        return 2 ** (w - 1)
+    if n % 8 == 0:
+        if _is_power_of_two(n):
+            return 1 if n >= 8 else 0
+        return 2 ** (w - 1)
+    return 0
+
+
+def _row(r: int, c: Factorization) -> tuple[int, int, int, int]:
+    """(r, n_classes, n_primitive, n_windowed) from c = r^2 D; one window scan for both counts."""
+    pairs = _window_pairs(c)
+    return r, len(_coprime(pairs)), _primitive(c), len(pairs)
+
+
 def solutions_for_r(r: int, D: int, include_p_zero: bool = False) -> list[tuple[int, int]]:
     """Primitive (p, q) with q^2 - p^2 = r^2 D and angle in [pi/3, pi/2).
 
@@ -38,32 +120,12 @@ def solutions_for_r(r: int, D: int, include_p_zero: bool = False) -> list[tuple[
     possible only when r^2 D is a perfect square, i.e. D = 1); primitivity
     then forces q = 1.  Sorted by q ascending.
     """
-    if r < 1 or D < 1:
-        raise ValueError("r and D must be positive")
-    c = r * r * D
-    out = []
-    for b in divisors(c):
-        bb = b * b
-        if bb <= c and not (include_p_zero and bb == c):
-            continue
-        if bb > 3 * c:
-            break
-        a = c // b
-        if (a + b) % 2:
-            continue
-        p, q = (b - a) // 2, (a + b) // 2
-        if gcd(p, q) == 1:
-            out.append((p, q))
-    return out
+    return _solutions(_r2d(r, D), include_p_zero)
 
 
 def count_classes(r: int, D: int) -> int:
     """Classes of type D with second coordinate exactly r (p > 0)."""
     return len(solutions_for_r(r, D))
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n & (n - 1) == 0
 
 
 def count_primitive(r: int, D: int) -> int:
@@ -75,36 +137,12 @@ def count_primitive(r: int, D: int) -> int:
       - c = 2^j:                             1 if j >= 3 else 0
       - otherwise (c = 1, or 2 | c, 8 !| c): 0
     """
-    if r < 1 or D < 1:
-        raise ValueError("r and D must be positive")
-    c = r * r * D
-    if c == 1:
-        return 0
-    w = omega(c)
-    if c % 2:
-        return 2 ** (w - 1)
-    if c % 8 == 0:
-        if _is_power_of_two(c):
-            return 1 if c >= 8 else 0
-        return 2 ** (w - 1)
-    return 0
+    return _primitive(_r2d(r, D))
 
 
 def count_windowed(r: int, D: int) -> int:
     """Divisors of r^2 D in the angle window with matching parity (no gcd filter)."""
-    if r < 1 or D < 1:
-        raise ValueError("r and D must be positive")
-    c = r * r * D
-    n = 0
-    for b in divisors(c):
-        bb = b * b
-        if bb <= c:
-            continue
-        if bb > 3 * c:
-            break
-        if (b + c // b) % 2 == 0:
-            n += 1
-    return n
+    return len(_window_pairs(_r2d(r, D)))
 
 
 def mobius_identity_check(r: int, D: int) -> bool:
@@ -112,12 +150,12 @@ def mobius_identity_check(r: int, D: int) -> bool:
 
     count_windowed(r) = sum over g | r of count_classes(r/g), and back via Moebius.
     """
-    ds = divisors(r)
-    direct = sum(count_classes(r // g, D) for g in ds)
-    if direct != count_windowed(r, D):
+    table = _divisor_table(*_factor_pair(r, D))
+    rows = {g: _row(g, c) for g, _, c in table}
+    mu = {g: fg.mobius() for g, fg, _ in table}
+    if sum(rows[r // g][1] for g in rows) != rows[r][3]:
         return False
-    inverted = sum(mobius(r // g) * count_windowed(g, D) for g in ds)
-    return inverted == count_classes(r, D)
+    return sum(mu[r // g] * rows[g][3] for g in rows) == rows[r][1]
 
 
 def enumerate_iwr(spec: DeterminantSpec, include_square_class: bool = True) -> list[IwrLattice]:
@@ -129,9 +167,9 @@ def enumerate_iwr(spec: DeterminantSpec, include_square_class: bool = True) -> l
     """
     M, D = spec.M, spec.D
     found = []
-    for r in divisors(M):
+    for r, _, c in _spec_table(spec):
         k = M // r
-        for p, q in solutions_for_r(r, D, include_p_zero=include_square_class):
+        for p, q in _solutions(c, include_p_zero=include_square_class):
             found.append(IwrLattice(SimilarityClass(p, r, q, D), k))
     found.sort(key=lambda lat: (lat.minimum, lat.cls.q, lat.cls.p))
     return found
@@ -157,13 +195,33 @@ def enumerate_iwr_via_mn(spec: DeterminantSpec) -> list[IwrLattice]:
     return out
 
 
+def _bound(table) -> Fraction:
+    # omega(r D) = omega(r^2 D): the same primes
+    return Fraction(1, 2) * sum(2 ** c.omega() for _, _, c in table)
+
+
+def _diagnostic(table) -> float:
+    mu = {g: fg.mobius() for g, fg, _ in table}
+    # tau(g^2 D) / sqrt(omega(g D)), None where omega(g D) = 0
+    term = {g: c.tau() / sqrt(c.omega()) if c.omega() else None for g, _, c in table}
+    total = 0.0
+    for r, fr, _ in table:
+        for g in fr.divisors():
+            t, m = term[g], mu[r // g]
+            # mu * tau / sqrt(w) with mu = +-1 rounds exactly like +-t; mu = 0 adds 0.0
+            if t is None or m == 0:
+                continue
+            total += t if m > 0 else -t
+    return total
+
+
 def count_bound(spec: DeterminantSpec) -> Fraction:
     """Exact upper bound (1/2) * sum over r | M of 2^omega(r D) for the class count.
 
     Valid for D > 1; for D = 1 the square class escapes it (the r = D = 1
     term contributes only 1/2).
     """
-    return Fraction(1, 2) * sum(2 ** omega(r * spec.D) for r in divisors(spec.M))
+    return _bound(_spec_table(spec))
 
 
 def count_diagnostic(spec: DeterminantSpec) -> float:
@@ -171,15 +229,9 @@ def count_diagnostic(spec: DeterminantSpec) -> float:
 
     Terms with omega(g D) = 0 (g = D = 1) are skipped.  Reported only; the
     estimate is not an invariant and is never asserted against the true count.
+    Summed in the order r, then g, ascending.
     """
-    total = 0.0
-    for r in divisors(spec.M):
-        for g in divisors(r):
-            w = omega(g * spec.D)
-            if w == 0:
-                continue
-            total += mobius(r // g) * tau(g * g * spec.D) / sqrt(w)
-    return total
+    return _diagnostic(_spec_table(spec))
 
 
 @dataclass(frozen=True)
@@ -201,15 +253,13 @@ class CountReport:
 
 
 def count_report(spec: DeterminantSpec) -> CountReport:
-    rows = tuple(
-        (r, count_classes(r, spec.D), count_primitive(r, spec.D), count_windowed(r, spec.D))
-        for r in divisors(spec.M)
-    )
+    table = _spec_table(spec)
+    rows = tuple(_row(r, c) for r, _, c in table)
     return CountReport(
         spec=spec,
         rows=rows,
         total=sum(row[1] for row in rows),
         square_classes=1 if spec.D == 1 else 0,
-        bound=count_bound(spec),
-        diagnostic=count_diagnostic(spec),
+        bound=_bound(table),
+        diagnostic=_diagnostic(table),
     )

@@ -71,9 +71,13 @@ def _min_radius(bound, eps: float) -> int:
     return max(hi, 1)
 
 
+def _require_finite_positive(**values: float) -> None:
+    for name, v in values.items():
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
+
 def _cos_theta(T: float, Delta: float) -> float:
-    if T <= 0 or Delta <= 0:
-        raise ValueError("T and Delta must be positive")
     ratio = Delta / T
     if ratio > 1.0 + _ANGLE_SLACK or ratio < math.sqrt(3.0) / 2.0 * (1.0 - _ANGLE_SLACK):
         raise ValueError(
@@ -89,10 +93,9 @@ def epstein_zeta(T: float, Delta: float, s: float, eps: float, radius: int | Non
     radius overrides the automatic truncation (used for doubling checks); the
     reported abs_error_bound always certifies whatever radius was summed.
     """
+    _require_finite_positive(T=T, Delta=Delta, s=s, eps=eps)
     if s <= 1.0:
         raise ValueError(f"series diverges for s <= 1, got s={s}")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     cos = _cos_theta(T, Delta)
     n = radius if radius is not None else _min_radius(lambda m: _tail_bound(T, s, m), eps)
     if n < 1:
@@ -183,10 +186,9 @@ def epstein_bounds(T: float, s: float, eps: float = 1e-6) -> tuple[float, float]
     and the constants (one pair per s) are rounded outward by their own
     certified tails, so the returned pair is a true outer bracket.
     """
+    _require_finite_positive(T=T, s=s, eps=eps)
     if s <= 1.0:
         raise ValueError(f"series diverges for s <= 1, got s={s}")
-    if T <= 0:
-        raise ValueError("T must be positive")
     s_plus, s_minus, tail, z_mid, z_err = _bound_constants(float(s), float(eps))
     ts = T**s
     lower = (2.0 * s_plus + 4.0 * (z_mid - z_err)) / ts
@@ -201,7 +203,10 @@ def packing_density(lat: IwrLattice) -> float:
 
 
 def snr(lat: IwrLattice, eps: float = 1e-6) -> float:
-    """Interference figure 10*log10(1/(9 E(2))) in dB for the given lattice."""
+    """Interference figure 10*log10(1/(9 E(2))) in dB for the given lattice.
+
+    eps must be finite and positive (ValueError otherwise, from epstein_zeta).
+    """
     c = lat.cls
     delta = lat.k * c.r * math.sqrt(c.D)
     z = epstein_zeta(float(lat.minimum), delta, 2.0, eps)

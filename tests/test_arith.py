@@ -116,3 +116,20 @@ def test_factorize_random_products():
             expect[p] = expect.get(p, 0) + e
         f = factorize(n)
         assert dict(f.factors) == expect
+
+
+
+def test_factorization_products_powers_and_divisors():
+    a, b = factorize(360), factorize(1013 * 7)
+    assert a * b == factorize(360 * 1013 * 7)
+    assert b * b * a == factorize(1013**2 * 49 * 360)
+    assert a * factorize(1) == a
+    for n in (1, 12, 360, 4052, 5040):
+        f = factorize(n)
+        assert f.divisors() == [d for d in range(1, n + 1) if n % d == 0]
+        assert (f.omega(), f.tau(), f.mobius()) == (omega(n), tau(n), mobius(n))
+        for d in f.divisors():
+            assert f.divisor(d) == factorize(d)
+    for bad in (0, -2, 7, 720):
+        with pytest.raises(ValueError):
+            factorize(360).divisor(bad)

@@ -165,6 +165,14 @@ class TestZetaAndSnrCommands:
         assert run(["zeta", "--p", "1", "--q", "2", "--D", "3", "--k", "1", "--s", "1.0"]) == 2
         capsys.readouterr()
 
+    def test_zeta_nan_eps_exits_2(self, capsys):
+        assert run(["zeta", "--p", "1", "--q", "2", "--D", "3", "--k", "1", "--s", "2", "--eps", "nan"]) == 2
+        assert "finite and positive" in capsys.readouterr().err
+
+    def test_snr_inf_eps_exits_2(self, capsys):
+        assert run(["snr", "--p", "1", "--q", "2", "--D", "3", "--k", "1", "--eps", "inf"]) == 2
+        assert "finite and positive" in capsys.readouterr().err
+
     def test_zeta_bad_class_exits_2(self, capsys):
         # q^2 - p^2 not a multiple of D
         assert run(["zeta", "--p", "1", "--q", "3", "--D", "5", "--k", "1", "--s", "2"]) == 2

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from math import gcd, sqrt
 
 import pytest
 
+from iwrlat import enumeration
+from iwrlat.arith import divisors, mobius, omega, tau
 from iwrlat.classes import DeterminantSpec, SimilarityClass, classify_gram, lattice_gram
 from iwrlat.enumeration import (
     count_bound,
@@ -139,3 +142,119 @@ def test_determinant_spec_validation():
         DeterminantSpec(0, 5)
     with pytest.raises(ValueError):
         DeterminantSpec(24, 12)  # 12 = 4 * 3 not squarefree
+
+
+# --- factor-once: only M and D reach factorize --------------------------------
+
+
+def _record_factorize(monkeypatch):
+    seen = []
+    real = enumeration.factorize
+
+    def recording(n):
+        seen.append(n)
+        return real(n)
+
+    monkeypatch.setattr(enumeration, "factorize", recording)
+    return seen
+
+
+@pytest.mark.parametrize("M", [126360, 6078])
+def test_enumeration_factors_only_M_and_D(monkeypatch, M):
+    seen = _record_factorize(monkeypatch)
+    for D in (1, 2, 3, 5, 17, 29):
+        seen.clear()
+        enumerate_iwr(DeterminantSpec(M, D))
+        assert set(seen) == {M, D}
+        seen.clear()
+        count_report(DeterminantSpec(M, D))
+        assert set(seen) == {M, D}
+
+
+def test_per_r_helpers_never_factor_r_squared_D(monkeypatch):
+    seen = _record_factorize(monkeypatch)
+    for r, D in ((6078, 5), (2026, 3), (1013, 1), (24, 17)):
+        for helper in (solutions_for_r, count_classes, count_windowed, count_primitive, mobius_identity_check):
+            seen.clear()
+            helper(r, D)
+            assert r * r * D not in seen
+            assert set(seen) == {r, D}
+
+
+# --- equivalence with the formulas applied to the products directly -----------
+
+
+def _oracle_window(r, D, include_p_zero=False):
+    c = r * r * D
+    out = []
+    for b in divisors(c):
+        if b * b < c or (b * b == c and not include_p_zero):
+            continue
+        if b * b > 3 * c:
+            break
+        a = c // b
+        if (a + b) % 2 == 0:
+            out.append(((b - a) // 2, (a + b) // 2))
+    return out
+
+
+def _oracle_solutions(r, D, include_p_zero=False):
+    return [(p, q) for p, q in _oracle_window(r, D, include_p_zero) if gcd(p, q) == 1]
+
+
+def _oracle_primitive(r, D):
+    c = r * r * D
+    if c == 1:
+        return 0
+    if c % 2 or (c % 8 == 0 and c & (c - 1)):
+        return 2 ** (omega(c) - 1)
+    return 1 if c & (c - 1) == 0 and c >= 8 else 0
+
+
+def _oracle_enumeration(M, D, include_square_class=True):
+    found = [
+        (SimilarityClass(p, r, q, D), M // r)
+        for r in divisors(M)
+        for p, q in _oracle_solutions(r, D, include_square_class)
+    ]
+    found.sort(key=lambda ck: (ck[1] * ck[0].q, ck[0].q, ck[0].p))
+    return found
+
+
+def _oracle_report(M, D):
+    rows = tuple(
+        (r, len(_oracle_solutions(r, D)), _oracle_primitive(r, D), len(_oracle_window(r, D)))
+        for r in divisors(M)
+    )
+    bound = Fraction(1, 2) * sum(2 ** omega(r * D) for r in divisors(M))
+    diagnostic = 0.0
+    for r in divisors(M):
+        for g in divisors(r):
+            w = omega(g * D)
+            if w:
+                diagnostic += mobius(r // g) * tau(g * g * D) / sqrt(w)
+    return rows, sum(row[1] for row in rows), bound, diagnostic
+
+
+EQUIVALENCE_M = list(range(1, 61)) + [6078, 126360, 185089, 185130, 720720]
+EQUIVALENCE_D = (1, 2, 3, 5, 6, 7, 17, 29)
+
+
+@pytest.mark.parametrize("D", EQUIVALENCE_D)
+def test_enumeration_and_counts_match_direct_formulas(D):
+    for M in EQUIVALENCE_M:
+        spec = DeterminantSpec(M, D)
+        lattices = enumerate_iwr(spec)
+        assert [(lat.cls, lat.k) for lat in lattices] == _oracle_enumeration(M, D)
+        assert [(lat.cls, lat.k) for lat in enumerate_iwr(spec, include_square_class=False)] == (
+            _oracle_enumeration(M, D, include_square_class=False)
+        )
+        rep = count_report(spec)
+        rows, total, bound, diagnostic = _oracle_report(M, D)
+        assert rep.rows == rows
+        assert rep.total == total
+        assert rep.bound == bound == count_bound(spec)
+        assert rep.diagnostic == diagnostic == count_diagnostic(spec)
+        if M * sqrt(D) <= 3e4:
+            via = enumerate_iwr_via_mn(spec)
+            assert [(lat.cls, lat.k) for lat in via] == [(lat.cls, lat.k) for lat in lattices]

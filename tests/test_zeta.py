@@ -91,6 +91,31 @@ def test_epstein_zeta_input_validation():
         epstein_zeta(1.0, 1.2, 2.0, 1e-6)  # determinant above T
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def test_epstein_zeta_rejects_non_finite_and_non_positive_inputs():
+    T, delta = 2.0, math.sqrt(3)
+    for bad in NON_FINITE + (0.0, -1.0):
+        for args in ((bad, delta, 2.0, 1e-6), (T, bad, 2.0, 1e-6), (T, delta, bad, 1e-6), (T, delta, 2.0, bad)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                epstein_zeta(*args)
+
+
+def test_epstein_bounds_rejects_non_finite_and_non_positive_inputs():
+    for bad in NON_FINITE + (0.0, -1.0):
+        for args in ((bad, 2.0, 1e-6), (2.0, bad, 1e-6), (2.0, 2.0, bad)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                epstein_bounds(*args)
+
+
+def test_snr_rejects_non_finite_and_non_positive_eps():
+    lat = IwrLattice(HEX, 1)
+    for bad in NON_FINITE + (0.0, -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            snr(lat, bad)
+
+
 def test_epstein_bounds_bracket_closed_forms():
     lo, hi = epstein_bounds(1.0, 2.0)
     assert lo < 6.026812 < hi
