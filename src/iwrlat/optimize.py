@@ -84,11 +84,11 @@ def optimize(spec: DeterminantSpec, order: str = "heuristic") -> OptimizeResult:
     would all be reported in maximizers, with the lattice taken from the
     lexicographically smallest (q, p).
     """
+    if order not in ("heuristic", "lex"):
+        raise ValueError(f"unknown order {order!r}")
     pairs = admissible_pairs(spec)
     if order == "heuristic":
         pairs.sort(key=lambda t: abs(t.m * t.m - t.D * t.n * t.n), reverse=True)
-    elif order != "lex":
-        raise ValueError(f"unknown order {order!r}")
     classes: dict[tuple[int, int, int], SimilarityClass] = {}
     for pair in pairs:
         cls = class_from_mn(pair)

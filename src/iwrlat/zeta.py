@@ -12,6 +12,14 @@ discarded tail:
 
 so tail <= (2/T)^s * 8 [(N+1)^(1-2s) + (N+1)^(2-2s)/(2s-2)].  Floating point
 rounding (~1e-13 relative here) is not part of the certificate.
+
+The shell sum costs O(N^2) terms, so epstein_zeta has a work budget: a radius
+N over 2**17 shells, whether chosen from eps or passed as radius=, is refused
+with ValueError before any array is built.
+
+numpy is the only third-party import and only the shell sums use it, so it is
+imported inside the functions that build arrays: importing this module (or
+iwrlat) does not load it, and the first sum does.
 """
 
 from __future__ import annotations
@@ -19,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .classes import DeterminantSpec, IwrLattice
 from .enumeration import enumerate_iwr
@@ -37,6 +43,7 @@ __all__ = [
 
 _COS_MAX = 0.5
 _ANGLE_SLACK = 1e-9
+_RADIUS_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -92,14 +99,26 @@ def epstein_zeta(T: float, Delta: float, s: float, eps: float, radius: int | Non
 
     radius overrides the automatic truncation (used for doubling checks); the
     reported abs_error_bound always certifies whatever radius was summed.
+    The radius summed, automatic or given, must lie in [1, 2**17]; ValueError
+    otherwise.
     """
     _require_finite_positive(T=T, Delta=Delta, s=s, eps=eps)
     if s <= 1.0:
         raise ValueError(f"series diverges for s <= 1, got s={s}")
     cos = _cos_theta(T, Delta)
-    n = radius if radius is not None else _min_radius(lambda m: _tail_bound(T, s, m), eps)
-    if n < 1:
-        raise ValueError("radius must be >= 1")
+    if radius is None:
+        n = _min_radius(lambda m: _tail_bound(T, s, m), eps)
+    elif isinstance(radius, int) and radius >= 1:
+        n = radius
+    else:
+        raise ValueError(f"radius must be an int >= 1, got {radius!r}")
+    if n > _RADIUS_BUDGET:
+        raise ValueError(
+            f"shell radius {n} exceeds the work budget of {_RADIUS_BUDGET} shells"
+            f" (s={s}, eps={eps}); raise eps or s"
+        )
+    import numpy as np
+
     c2 = 2.0 * T * cos
     xs = np.arange(-n, n + 1, dtype=np.float64)
     mid = n
@@ -122,6 +141,8 @@ def epstein_zeta(T: float, Delta: float, s: float, eps: float, radius: int | Non
 
 def _zeta_certified(a: float) -> tuple[float, float]:
     """Riemann zeta(a) for a > 1 as (midpoint, error): partial sum + integral bracket."""
+    import numpy as np
+
     n0 = 100_000
     k = np.arange(1, n0 + 1, dtype=np.float64)
     partial = float(np.power(k, -a).sum())
@@ -132,6 +153,8 @@ def _zeta_certified(a: float) -> tuple[float, float]:
 
 def _beta_certified(a: float) -> tuple[float, float]:
     """Dirichlet beta(a) as (midpoint, error); alternating, error <= first omitted term."""
+    import numpy as np
+
     n0 = 100_000
     k = np.arange(n0, dtype=np.float64)
     terms = np.power(2.0 * k + 1.0, -a)
@@ -156,6 +179,8 @@ def _bound_constants(s: float, eps: float) -> tuple[float, float, float, float, 
     def est(m: int) -> float:
         u = float(m + 1)
         return (1.0 + 2.0**s) * 2.0 * (u ** (1 - 2 * s) + u ** (2 - 2 * s) / (2 * s - 2))
+
+    import numpy as np
 
     n = min(_min_radius(est, eps), _BOX_CAP)
     s_plus = 0.0

@@ -173,6 +173,14 @@ class TestZetaAndSnrCommands:
         assert run(["snr", "--p", "1", "--q", "2", "--D", "3", "--k", "1", "--eps", "inf"]) == 2
         assert "finite and positive" in capsys.readouterr().err
 
+    def test_zeta_over_work_budget_exits_2(self, capsys):
+        # s = 1.5 at eps = 1e-9 would need ~8e9 shells
+        argv = ["zeta", "--p", "1", "--q", "2", "--D", "3", "--k", "1", "--s", "1.5", "--eps", "1e-9"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert "work budget" in captured.err
+        assert captured.out == ""
+
     def test_zeta_bad_class_exits_2(self, capsys):
         # q^2 - p^2 not a multiple of D
         assert run(["zeta", "--p", "1", "--q", "3", "--D", "5", "--k", "1", "--s", "2"]) == 2

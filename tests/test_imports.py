@@ -1,0 +1,80 @@
+"""numpy is loaded only by the zeta/SNR shell sums.
+
+Each case runs in a fresh interpreter, so modules loaded by other tests in
+this process cannot hide or fake an import.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_PROBE = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import iwrlat
+    code = None
+else:
+    import iwrlat.cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = iwrlat.cli.run(argv)
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _probe(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+HEX_ARGS = ["--p", "1", "--q", "2", "--D", "3", "--k", "1"]
+
+WITHOUT_NUMPY = [
+    (["classify", "--gram", "2,1,2"], 0),
+    (["enumerate", "--M", "24", "--D", "5"], 0),
+    (["enumerate", "--M", "1", "--D", "2"], 3),
+    (["count", "--M", "24", "--D", "5"], 0),
+    (["optimize", "--M", "24", "--D", "5", "--density"], 0),
+    (["compose", "--D", "3", "--c1", "1,2", "--c2", "1,2"], 0),
+    (["table1"], 0),
+    # the work budget refuses before the shell sum imports numpy
+    (["zeta", *HEX_ARGS, "--s", "1.5", "--eps", "1e-9"], 2),
+]
+
+WITH_NUMPY = [
+    (["zeta", *HEX_ARGS, "--s", "2"], 0),
+    (["snr", *HEX_ARGS], 0),
+    (["enumerate", "--M", "24", "--D", "5", "--snr-eps", "1e-6"], 0),
+]
+
+
+def _ids(cases):
+    return ["_".join(argv).replace("--", "") for argv, _ in cases]
+
+
+def test_import_iwrlat_does_not_load_numpy():
+    assert _probe(None) == {"code": None, "numpy": False}
+
+
+@pytest.mark.parametrize("argv, code", WITHOUT_NUMPY, ids=_ids(WITHOUT_NUMPY))
+def test_numpy_not_loaded_without_a_shell_sum(argv, code):
+    assert _probe(argv) == {"code": code, "numpy": False}
+
+
+@pytest.mark.parametrize("argv, code", WITH_NUMPY, ids=_ids(WITH_NUMPY))
+def test_numpy_loaded_by_shell_sums(argv, code):
+    assert _probe(argv) == {"code": code, "numpy": True}

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,16 @@ def test_heuristic_order_never_changes_result():
         assert a.maximizers == b.maximizers
     with pytest.raises(ValueError):
         optimize(DeterminantSpec(24, 5), order="random")
+
+
+def test_unknown_order_refused_before_scanning(monkeypatch):
+    def no_scan(spec):
+        raise AssertionError("admissible_pairs called before the order was checked")
+
+    # the package re-exports the function optimize under the submodule's name
+    monkeypatch.setattr(sys.modules["iwrlat.optimize"], "admissible_pairs", no_scan)
+    with pytest.raises(ValueError, match="unknown order 'random'"):
+        optimize(DeterminantSpec(10**7, 5), order="random")
 
 
 def test_trivial_bound():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import mpmath
 import pytest
@@ -89,6 +90,27 @@ def test_epstein_zeta_input_validation():
         epstein_zeta(1.0, 0.5, 2.0, 1e-6)  # determinant below sqrt(3)/2 * T
     with pytest.raises(ValueError):
         epstein_zeta(1.0, 1.2, 2.0, 1e-6)  # determinant above T
+
+
+def test_epstein_zeta_refuses_radius_over_work_budget():
+    # eps this small would pick N ~ 8e9 (s = 1.5, eps = 1e-9) or ~ 8e6 (eps =
+    # 1e-6) shells; both must be refused before any array is built
+    T, delta = 2.0, math.sqrt(3)
+    for eps in (1e-9, 1e-6):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="work budget of 131072 shells"):
+            epstein_zeta(T, delta, 1.5, eps)
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="work budget"):
+        epstein_zeta(T, delta, 2.0, 1e-6, radius=2**17 + 1)
+
+
+def test_epstein_zeta_radius_must_be_positive_int():
+    T, delta = 2.0, math.sqrt(3)
+    for bad in (0, -1, 2.5, 4.0, "8"):
+        with pytest.raises(ValueError, match="radius must be an int >= 1"):
+            epstein_zeta(T, delta, 2.0, 1e-6, radius=bad)
+    assert epstein_zeta(T, delta, 2.0, 1e-6, radius=1).truncation_radius == 1
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
