@@ -19,8 +19,6 @@ from iwrlat import (
     class_from_mn,
     classify_gram,
     gauss_reduce,
-    lattice_gram,
-    minimal_lattice,
 )
 
 hexagonal = SimilarityClass(1, 1, 2, 3)
@@ -36,7 +34,7 @@ for name, cls in [("hexagonal", hexagonal), ("square", square)]:
 print()
 print("Every class has a minimal integral representative with Gram [[q,p],[p,q]],")
 print("and scaling by sqrt(k) multiplies the Gram by k:")
-lat = minimal_lattice(hexagonal)
+lat = IwrLattice(hexagonal, 1)
 print(f"  minimal hexagonal: gram = {lat.gram().rows()}, minimum = {lat.minimum}")
 lat3 = IwrLattice(hexagonal, 3)
 print(
@@ -59,7 +57,7 @@ reduced, transform = gauss_reduce(messy)
 print(f"  {messy.rows()}  reduces to  {reduced.rows()}  via  {transform}")
 cls, k = classify_gram(messy)
 print(f"  class {cls.triple()} of type {cls.D}, scale k = {k}")
-print(f"  round trip: lattice_gram -> {lattice_gram(IwrLattice(cls, k)).rows()}")
+print(f"  round trip: IwrLattice(cls, k).gram() -> {IwrLattice(cls, k).gram().rows()}")
 
 print()
 print("Non-well-rounded input is rejected rather than coerced:")

@@ -32,7 +32,8 @@ for name, delta in [("hexagonal", math.sqrt(3) / 2), ("square", 1.0)]:
 
 print()
 print("An angle-free bracket pins E(s) for every well-rounded shape of a given")
-print("minimum, without knowing the angle:")
+print("minimum, without knowing the angle.  Its ends are the square and the")
+print("hexagonal values, rounded outward:")
 for s in (1.5, 2.0, 3.0):
     lo, hi = epstein_bounds(1.0, s)
     print(f"  s = {s}: {lo:.4f} <= E(s) <= {hi:.4f}")

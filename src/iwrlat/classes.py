@@ -27,8 +27,6 @@ __all__ = [
     "class_from_mn",
     "angle_cos",
     "angle_sin_sq",
-    "lattice_gram",
-    "minimal_lattice",
     "gauss_reduce",
     "classify_gram",
     "dioph_param",
@@ -193,15 +191,6 @@ def angle_cos(cls: SimilarityClass) -> Fraction:
 def angle_sin_sq(cls: SimilarityClass) -> Fraction:
     """Squared sine of that angle, exactly r^2 D / q^2."""
     return Fraction(cls.r * cls.r * cls.D, cls.q * cls.q)
-
-
-def lattice_gram(lat: IwrLattice) -> GramMatrix:
-    return lat.gram()
-
-
-def minimal_lattice(cls: SimilarityClass) -> IwrLattice:
-    """k = 1 representative; its minimum q divides every minimum in the class."""
-    return IwrLattice(cls, 1)
 
 
 def _mat_mul(u, v):

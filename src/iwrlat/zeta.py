@@ -1,32 +1,37 @@
-"""Epstein zeta values for well-rounded planar lattices, with certified truncation.
+"""Epstein zeta values for well-rounded planar lattices, with certified error bounds.
 
 The quadratic form of a WR lattice with minimum T and determinant Delta is
 Q(x, y) = T (x^2 + y^2 + 2 x y cos(theta)) with cos(theta) = sqrt(1 - Delta^2/T^2)
-in [0, 1/2].  E(s) = sum over (x, y) != 0 of Q^-s is summed over square shells
-max(|x|, |y|) = 1..N in a fixed order; the returned error bound covers the
-discarded tail:
+in [0, 1/2], and E(s) = sum over (x, y) != 0 of Q^-s.
+
+epstein_zeta sums E(s) over square shells max(|x|, |y|) = 1..N in a fixed
+order; the returned error bound covers the discarded tail:
 
     Q >= T (x^2 + y^2 - |x y|) >= T (x^2 + y^2) / 2,
     sum_{max=j} (x^2+y^2)^-s <= 8 j^(1-2s),
     sum_{j>N} 8 j^(1-2s) <= 8 [(N+1)^(1-2s) + (N+1)^(2-2s) / (2s-2)],
 
 so tail <= (2/T)^s * 8 [(N+1)^(1-2s) + (N+1)^(2-2s)/(2s-2)].  Floating point
-rounding (~1e-13 relative here) is not part of the certificate.
+rounding (~1e-13 relative here) is not part of this certificate.
 
 The shell sum costs O(N^2) terms, so epstein_zeta has a work budget: a radius
-N over 2**17 shells, whether chosen from eps or passed as radius=, is refused
-with ValueError before any array is built.
+N over 2**17 shells, whether needed for eps or passed as radius=, is refused
+with ValueError before numpy (imported only there) builds any array.
 
-numpy is the only third-party import and only the shell sums use it, so it is
-imported inside the functions that build arrays: importing this module (or
-iwrlat) does not load it, and the first sum does.
+epstein_bounds sums no lattice.  At fixed T the term pair (x, y), (x, -y) is
+an even convex function of c = cos(theta), so E(s) does not decrease as c
+grows from 0 to 1/2, and every WR form lies between the square and the
+hexagonal one: E_square = 4 zeta(s) beta(s) T^-s <= E(s) <= E_hex =
+6 zeta(s) L_-3(s) T^-s, with beta(s) = 4^-s (zeta(s,1/4) - zeta(s,3/4)) and
+L_-3(s) = 3^-s (zeta(s,1/3) - zeta(s,2/3)).  Unlike the shell sum's, the
+bracket's certificate covers rounding down to the returned floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 from .classes import DeterminantSpec, IwrLattice
 from .enumeration import enumerate_iwr
@@ -61,21 +66,16 @@ def _tail_bound(T: float, s: float, n: int) -> float:
     return (2.0 / T) ** s * 8.0 * (u ** (1.0 - 2.0 * s) + u ** (2.0 - 2.0 * s) / (2.0 * s - 2.0))
 
 
-def _min_radius(bound, eps: float) -> int:
-    """Smallest n >= 1 with bound(n) <= eps (bound decreasing in n)."""
-    n = 1
-    while bound(n) > eps:
-        n *= 2
-        if n > 1 << 40:
-            raise ValueError("tolerance unreachable")
-    lo, hi = n // 2, n
+def _min_radius(T: float, s: float, eps: float) -> int | None:
+    """Smallest n in [1, 2**17] with _tail_bound(T, s, n) <= eps, or None if there is none."""
+    lo, hi = 0, _RADIUS_BUDGET + 1
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if bound(mid) <= eps:
+        if _tail_bound(T, s, mid) <= eps:
             hi = mid
         else:
             lo = mid
-    return max(hi, 1)
+    return hi if hi <= _RADIUS_BUDGET else None
 
 
 def _require_finite_positive(**values: float) -> None:
@@ -100,14 +100,19 @@ def epstein_zeta(T: float, Delta: float, s: float, eps: float, radius: int | Non
     radius overrides the automatic truncation (used for doubling checks); the
     reported abs_error_bound always certifies whatever radius was summed.
     The radius summed, automatic or given, must lie in [1, 2**17]; ValueError
-    otherwise.
+    otherwise, also when eps needs more shells than that.
     """
     _require_finite_positive(T=T, Delta=Delta, s=s, eps=eps)
     if s <= 1.0:
         raise ValueError(f"series diverges for s <= 1, got s={s}")
     cos = _cos_theta(T, Delta)
     if radius is None:
-        n = _min_radius(lambda m: _tail_bound(T, s, m), eps)
+        n = _min_radius(T, s, eps)
+        if n is None:
+            raise ValueError(
+                f"eps={eps} needs a shell radius over the work budget of {_RADIUS_BUDGET} shells"
+                f" (s={s}); raise eps or s"
+            )
     elif isinstance(radius, int) and radius >= 1:
         n = radius
     else:
@@ -139,85 +144,83 @@ def epstein_zeta(T: float, Delta: float, s: float, eps: float, radius: int | Non
     )
 
 
-def _zeta_certified(a: float) -> tuple[float, float]:
-    """Riemann zeta(a) for a > 1 as (midpoint, error): partial sum + integral bracket."""
-    import numpy as np
-
-    n0 = 100_000
-    k = np.arange(1, n0 + 1, dtype=np.float64)
-    partial = float(np.power(k, -a).sum())
-    lo = (n0 + 1.0) ** (1.0 - a) / (a - 1.0)
-    hi = n0 ** (1.0 - a) / (a - 1.0)
-    return partial + 0.5 * (lo + hi), 0.5 * (hi - lo) + 1e-12 * partial
+# Every decimal operation below rounds to 40 digits, a relative error of at
+# most h = 5e-40; with the widest exponent range nothing under- or overflows
+# for s <= _S_MAX.
+_DECIMAL = Context(prec=40, Emin=MIN_EMIN, Emax=MAX_EMAX)
+_S_MAX = 1e15
+_HEAD = 12
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+              (-3617, 510), (43867, 798), (-174611, 330))  # B_2 .. B_20
 
 
-def _beta_certified(a: float) -> tuple[float, float]:
-    """Dirichlet beta(a) as (midpoint, error); alternating, error <= first omitted term."""
-    import numpy as np
+def _hurwitz(s: Decimal, p: int, q: int) -> tuple[Decimal, Decimal]:
+    """q^-s zeta(s, p/q) = sum of (q k + p)^-s over k >= 0, as (value, abs_error).
 
-    n0 = 100_000
-    k = np.arange(n0, dtype=np.float64)
-    terms = np.power(2.0 * k + 1.0, -a)
-    partial = float(terms[::2].sum() - terms[1::2].sum())
-    return partial, (2.0 * n0 + 1.0) ** (-a) + 1e-12
+    For 1 <= p <= q and 1 < s <= _S_MAX, in the _DECIMAL context; p/q comes
+    as integers so every base q k + p is exact.  Euler-Maclaurin: _HEAD
+    terms, then with y = q _HEAD + p the integral y^(1-s) / (q (s-1)), y^-s / 2
+    and B_2j / (2j)! (s)_(2j-1) q^(2j-1) y^(1-s-2j) for j = 1..9.  For real
+    s > 1 the remainder is at most the first omitted term, j = 10 (Backlund).
+    Rounding: n^-s = exp(-s ln n), n <= 52, is off by under 8 s h + h; a
+    correction adds under 60 h and the sum 25 h of the summands' magnitudes,
+    so (8 s + 200) h times those bounds it.  Near s = 1 the integrals grow
+    like 1/(s-1) and cancel in beta and L_-3; the allowance grows with them.
+    """
+    terms = [(-s * Decimal(q * k + p).ln()).exp() for k in range(_HEAD)]
+    y = Decimal(q * _HEAD + p)
+    w = (-s * y.ln()).exp()
+    terms += [w * y / (q * (s - 1)), w / 2]
+    g = s * q * w / y  # (s)_(2j-1) q^(2j-1) y^(1-s-2j) at j = 1
+    step = (q / y) ** 2
+    for j, (num, den) in enumerate(_BERNOULLI, start=1):
+        terms.append(Decimal(num) / (den * math.factorial(2 * j)) * g)
+        g *= (s + 2 * j - 1) * (s + 2 * j) * step
+    remainder = abs(terms.pop())
+    rounding = (8 * s + 200) * Decimal("5e-40")
+    return sum(terms), remainder + rounding * (remainder + sum(abs(t) for t in terms))
 
 
-_BOX_CAP = 3000
+# float() rounds to within 2^-53 relative, or 2^-1075 below the normal range;
+# twice that also covers the decimal rounding of T^-s and of _bracket_end,
+# under 1e-20 relative for s <= _S_MAX.
+_TO_FLOAT = Decimal(2.0**-52)
+_TO_SUBNORMAL = Decimal(math.ulp(0.0))
 
 
-@lru_cache(maxsize=64)
-def _bound_constants(s: float, eps: float) -> tuple[float, float, float, float, float]:
-    # The two quadrant sums are truncated to the box [1, n]^2.  Their joint
-    # tail is certified without summing further: each term pair is at most
-    # (1 + 2^s)(x^2+y^2)^-s since both denominators are >= (x^2+y^2)/2, and
-    # the quadrant remainder of sum (x^2+y^2)^-s equals
-    # zeta(s) beta(s) - zeta(2s) - (box partial), exact by the classical
-    # two-squares identity sum_{Z^2 \ 0} (x^2+y^2)^-s = 4 zeta(s) beta(s).
-    # For s near 1 the remainder decays only like n^(2-2s), so brute
-    # truncation alone could never certify small eps; the box is capped and
-    # the bracket simply widens by the certified tail.
-    def est(m: int) -> float:
-        u = float(m + 1)
-        return (1.0 + 2.0**s) * 2.0 * (u ** (1 - 2 * s) + u ** (2 - 2 * s) / (2 * s - 2))
-
-    import numpy as np
-
-    n = min(_min_radius(est, eps), _BOX_CAP)
-    s_plus = 0.0
-    s_minus = 0.0
-    box = 0.0
-    ys = np.arange(1, n + 1, dtype=np.float64)
-    for x0 in range(1, n + 1, 256):
-        x = np.arange(x0, min(x0 + 256, n + 1), dtype=np.float64)[:, None]
-        d0 = x * x + ys * ys
-        xy = x * ys
-        base = np.power(d0, -s).sum()
-        box += base
-        s_minus += base + np.power(d0 - xy, -s).sum()
-        s_plus += base + np.power(d0 + xy, -s).sum()
-    zs, zs_err = _zeta_certified(s)
-    bs, bs_err = _beta_certified(s)
-    z_mid, z_err = _zeta_certified(2.0 * s)
-    quad_hi = (zs + zs_err) * (bs + bs_err) - (z_mid - z_err)
-    tail = (1.0 + 2.0**s) * max(0.0, quad_hi - box) + 1e-12
-    return s_plus, s_minus, tail, z_mid, z_err
+def _bracket_end(scale: Decimal, zeta, plus, minus, side: int) -> float:
+    """scale * zeta * (plus - minus) of _hurwitz results, moved by its error to side -1 or +1."""
+    z, z_err = zeta
+    d, d_err = plus[0] - minus[0], plus[1] + minus[1]
+    value = scale * z * d
+    margin = scale * (z * d_err + d * z_err + z_err * d_err) + value * _TO_FLOAT + _TO_SUBNORMAL
+    return float(value + side * margin)
 
 
 def epstein_bounds(T: float, s: float, eps: float = 1e-6) -> tuple[float, float]:
     """Angle-free bracket lower <= E(s) <= upper for every WR form with minimum T.
 
-    Each off-axis term (x^2 + y^2 +- 2 x y cos)^-s is replaced by its extreme
-    over cos in [0, 1/2], the axis contribution 4 zeta(2s) is added exactly,
-    and the constants (one pair per s) are rounded outward by their own
-    certified tails, so the returned pair is a true outer bracket.
+    The ends are the square and hexagonal values, which bound every WR form
+    because each term pair of E(s) is an even convex function of cos(theta),
+    moved outward by a margin for truncation, decimal rounding and rounding
+    to float: a true bracket, within about 2^-52 relative of the closed forms
+    (epstein_zeta's bound, by contrast, still leaves its rounding out).
+    eps must be finite and positive but no longer changes the work done.
+    ValueError unless 1 < s <= 1e15 and E_hex(T) is within the float range.
     """
     _require_finite_positive(T=T, s=s, eps=eps)
     if s <= 1.0:
         raise ValueError(f"series diverges for s <= 1, got s={s}")
-    s_plus, s_minus, tail, z_mid, z_err = _bound_constants(float(s), float(eps))
-    ts = T**s
-    lower = (2.0 * s_plus + 4.0 * (z_mid - z_err)) / ts
-    upper = (2.0 * (s_minus + tail) + 4.0 * (z_mid + z_err)) / ts
+    if s > _S_MAX:
+        raise ValueError(f"s must be at most {_S_MAX:g} for the certified bracket, got s={s}")
+    with localcontext(_DECIMAL):
+        s_dec = Decimal(float(s))
+        zeta = _hurwitz(s_dec, 1, 1)
+        scale = (-s_dec * Decimal(float(T)).ln()).exp()  # T^-s
+        lower = _bracket_end(4 * scale, zeta, _hurwitz(s_dec, 1, 4), _hurwitz(s_dec, 3, 4), -1)
+        upper = _bracket_end(6 * scale, zeta, _hurwitz(s_dec, 1, 3), _hurwitz(s_dec, 2, 3), +1)
+    if math.isinf(upper):
+        raise ValueError(f"E(s) at T={T}, s={s} exceeds the float range")
     return lower, upper
 
 

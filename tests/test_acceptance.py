@@ -34,7 +34,6 @@ from iwrlat import (
     epstein_bounds,
     epstein_zeta,
     is_squarefree,
-    lattice_gram,
     mobius,
     monotonicity_check,
     optimize,
@@ -450,12 +449,12 @@ def test_gram_round_trip_on_grid():
     count = 0
     for spec, lats in _grid_enumerations().items():
         for lat in lats:
-            cls, k = classify_gram(lattice_gram(lat))
+            cls, k = classify_gram(lat.gram())
             if (cls, k) != (lat.cls, lat.k):
                 failures.append((spec, lat, cls, k))
             count += 1
     _check(
-        "classify_gram inverts lattice_gram for every grid lattice",
+        "classify_gram inverts IwrLattice.gram for every grid lattice",
         not failures,
         f"{count} lattices" + (f"; first failure {failures[0]}" if failures else ""),
     )

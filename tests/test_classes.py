@@ -18,8 +18,6 @@ from iwrlat.classes import (
     dioph_param,
     e_exponent,
     gauss_reduce,
-    lattice_gram,
-    minimal_lattice,
 )
 
 HEX = SimilarityClass(1, 1, 2, 3)
@@ -83,10 +81,10 @@ def test_angle_values():
 
 
 def test_lattice_gram_examples():
-    assert lattice_gram(IwrLattice(HEX, 1)) == GramMatrix(2, 1, 2)
-    assert lattice_gram(IwrLattice(SQUARE, 1)) == GramMatrix(1, 0, 1)
-    assert lattice_gram(IwrLattice(BIG, 1)) == GramMatrix(61, 29, 61)
-    g = lattice_gram(IwrLattice(BIG, 2))
+    assert IwrLattice(HEX, 1).gram() == GramMatrix(2, 1, 2)
+    assert IwrLattice(SQUARE, 1).gram() == GramMatrix(1, 0, 1)
+    assert IwrLattice(BIG, 1).gram() == GramMatrix(61, 29, 61)
+    g = IwrLattice(BIG, 2).gram()
     assert g.det() == 4 * 24 * 24 * 5
 
 
@@ -101,9 +99,9 @@ def test_minimum_and_determinant():
 
 
 def test_minimal_lattice():
-    assert minimal_lattice(HEX).k == 1 and minimal_lattice(HEX).minimum == 2
-    assert minimal_lattice(BIG).minimum == 61
-    assert minimal_lattice(SimilarityClass(2, 3, 7, 5)).minimum == 7
+    assert IwrLattice(HEX, 1).k == 1 and IwrLattice(HEX, 1).minimum == 2
+    assert IwrLattice(BIG, 1).minimum == 61
+    assert IwrLattice(SimilarityClass(2, 3, 7, 5), 1).minimum == 7
 
 
 def test_gram_matrix_validation():

@@ -5,7 +5,7 @@ import pytest
 
 from iwrlat import enumeration
 from iwrlat.arith import divisors, mobius, omega, tau
-from iwrlat.classes import DeterminantSpec, SimilarityClass, classify_gram, lattice_gram
+from iwrlat.classes import DeterminantSpec, SimilarityClass, classify_gram
 from iwrlat.enumeration import (
     count_bound,
     count_classes,
@@ -127,7 +127,7 @@ def test_count_report_structure():
 def test_every_lattice_round_trips():
     for (M, D) in [(24, 5), (24, 7), (20, 11), (24, 13), (24, 17), (105, 19), (96, 23)]:
         for lat in enumerate_iwr(DeterminantSpec(M, D)):
-            assert classify_gram(lattice_gram(lat)) == (lat.cls, lat.k)
+            assert classify_gram(lat.gram()) == (lat.cls, lat.k)
 
 
 def test_distinct_lattices_have_distinct_minima():

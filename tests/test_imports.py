@@ -1,4 +1,4 @@
-"""numpy is loaded only by the zeta/SNR shell sums.
+"""numpy is loaded only by the zeta/SNR shell sums, never by the bracket.
 
 Each case runs in a fresh interpreter, so modules loaded by other tests in
 this process cannot hide or fake an import.
@@ -16,22 +16,24 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 _PROBE = """
 import contextlib, io, json, sys
-argv = json.loads(sys.argv[1])
-if argv is None:
-    import iwrlat
-    code = None
-else:
+arg = json.loads(sys.argv[1])
+code = None
+if isinstance(arg, list):
     import iwrlat.cli
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = iwrlat.cli.run(argv)
+        code = iwrlat.cli.run(arg)
+else:
+    import iwrlat
+    exec(arg or "")
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
 """
 
 
-def _probe(argv):
+def _probe(arg):
+    """Run the CLI on an argv list, or a statement after `import iwrlat`, in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        [sys.executable, "-c", _PROBE, json.dumps(arg)],
         env=env,
         capture_output=True,
         text=True,
@@ -68,6 +70,10 @@ def _ids(cases):
 
 def test_import_iwrlat_does_not_load_numpy():
     assert _probe(None) == {"code": None, "numpy": False}
+
+
+def test_epstein_bounds_does_not_load_numpy():
+    assert _probe("iwrlat.epstein_bounds(2.0, 1.5, 1e-6)") == {"code": None, "numpy": False}
 
 
 @pytest.mark.parametrize("argv, code", WITHOUT_NUMPY, ids=_ids(WITHOUT_NUMPY))

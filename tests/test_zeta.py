@@ -1,12 +1,15 @@
 import math
 import random
 import time
+from decimal import Decimal, localcontext
 
 import mpmath
 import pytest
 
 from iwrlat.classes import DeterminantSpec, IwrLattice, SimilarityClass
 from iwrlat.zeta import (
+    _DECIMAL,
+    _hurwitz,
     epstein_bounds,
     epstein_zeta,
     monotonicity_check,
@@ -18,16 +21,24 @@ HEX = SimilarityClass(1, 1, 2, 3)
 SQUARE = SimilarityClass(0, 1, 1, 1)
 
 
+def _closed_forms(T: float, s: float):
+    """(E_square, E_hex) at minimum T as 30-digit mpmath numbers."""
+    with mpmath.workdps(30):
+        s = mpmath.mpf(s)
+        scale = mpmath.zeta(s) * mpmath.mpf(T) ** (-s)
+        # 4 zeta(s) beta(s) with beta(s) = 4^-s (zeta(s,1/4) - zeta(s,3/4))
+        beta = mpmath.mpf(4) ** (-s) * (mpmath.zeta(s, mpmath.mpf(1) / 4) - mpmath.zeta(s, mpmath.mpf(3) / 4))
+        # 6 zeta(s) L_{-3}(s) with L_{-3}(s) = 3^-s (zeta(s,1/3) - zeta(s,2/3))
+        L3 = mpmath.mpf(3) ** (-s) * (mpmath.zeta(s, mpmath.mpf(1) / 3) - mpmath.zeta(s, mpmath.mpf(2) / 3))
+        return 4 * scale * beta, 6 * scale * L3
+
+
 def _hex_closed_form(s: float) -> float:
-    # 6 zeta(s) L_{-3}(s) with L_{-3}(s) = 3^-s (zeta(s,1/3) - zeta(s,2/3))
-    L3 = 3.0 ** (-s) * (mpmath.zeta(s, mpmath.mpf(1) / 3) - mpmath.zeta(s, mpmath.mpf(2) / 3))
-    return float(6 * mpmath.zeta(s) * L3)
+    return float(_closed_forms(1.0, s)[1])
 
 
 def _square_closed_form(s: float) -> float:
-    # 4 zeta(s) beta(s) with beta(s) = 4^-s (zeta(s,1/4) - zeta(s,3/4))
-    beta = 4.0 ** (-s) * (mpmath.zeta(s, mpmath.mpf(1) / 4) - mpmath.zeta(s, mpmath.mpf(3) / 4))
-    return float(4 * mpmath.zeta(s) * beta)
+    return float(_closed_forms(1.0, s)[0])
 
 
 def test_hexagonal_closed_form_at_s2():
@@ -103,6 +114,9 @@ def test_epstein_zeta_refuses_radius_over_work_budget():
         assert time.perf_counter() - start < 1.0
     with pytest.raises(ValueError, match="work budget"):
         epstein_zeta(T, delta, 2.0, 1e-6, radius=2**17 + 1)
+    # near s = 1 no radius reaches eps; the same budget error says so
+    with pytest.raises(ValueError, match="work budget of 131072 shells"):
+        epstein_zeta(1.0, 1.0, 1.05, 1e-9)
 
 
 def test_epstein_zeta_radius_must_be_positive_int():
@@ -140,11 +154,46 @@ def test_snr_rejects_non_finite_and_non_positive_eps():
 
 def test_epstein_bounds_bracket_closed_forms():
     lo, hi = epstein_bounds(1.0, 2.0)
-    assert lo < 6.026812 < hi
-    assert lo < 7.711145 < hi
+    assert lo < _square_closed_form(2.0) < hi
+    assert lo < _hex_closed_form(2.0) < hi
     for s in (1.5, 2.0, 3.0):
         lo, hi = epstein_bounds(1.0, s)
         assert lo < hi
+
+
+BRACKET_S = (1 + 1e-6, 1 + 1e-4, 1.05, 1.3, 1.5, 2.0, 2.5, 3.0, 10.0)
+
+
+@pytest.mark.parametrize("s", BRACKET_S)
+def test_epstein_bounds_are_the_closed_forms_rounded_outward(s):
+    # no allowance on top: the returned floats themselves must hold the
+    # exact square and hexagonal values, and sit within 1e-12 of them
+    for T in (0.5, 1.0, 37.0):
+        square, hexagonal = _closed_forms(T, s)
+        for eps in (1e-2, 1e-6):
+            lo, hi = epstein_bounds(T, s, eps)
+            with mpmath.workdps(30):
+                assert lo <= square and hexagonal <= hi, (T, s, eps, lo, hi)
+                assert abs(lo - square) <= 1e-12 * square
+                assert abs(hi - hexagonal) <= 1e-12 * hexagonal
+
+
+@pytest.mark.parametrize("s", (1 + 1e-6, 1.05, 2.0, 10.0, 100.0))
+def test_hurwitz_error_bound_holds(s):
+    # near s = 1 the truncation remainder dominates the bound, at s = 100 the
+    # rounding allowance does; each must cover the error against 60 digits
+    for p, q in ((1, 1), (1, 4), (3, 4), (1, 3), (2, 3)):
+        with localcontext(_DECIMAL):
+            value, error = _hurwitz(Decimal(s), p, q)
+        with mpmath.workdps(60):
+            exact = mpmath.mpf(q) ** -mpmath.mpf(s) * mpmath.zeta(mpmath.mpf(s), mpmath.mpf(p) / q)
+            assert abs(mpmath.mpf(str(value)) - exact) <= mpmath.mpf(str(error)), (s, p, q)
+
+
+def test_epstein_bounds_near_one_returns_floats():
+    lo, hi = epstein_bounds(2.0, 1.05)
+    assert type(lo) is float and type(hi) is float
+    assert 0 < lo < hi
 
 
 def test_epstein_bounds_sandwich_random():
