@@ -3,8 +3,9 @@
 Placing transmitters on a lattice, the total interference power at a node is
 the Epstein zeta value E(s) = sum over nonzero lattice vectors of |v|^(-2s),
 and the signal-to-noise figure is 10 log10(1 / (9 E(2))) dB.  Every zeta
-evaluation below carries a certified truncation error, so comparisons
-between lattices can be made rigorous rather than eyeballed.
+evaluation below comes from the Chowla-Selberg expansion and carries a
+certified error bound (truncation and rounding), so comparisons between
+lattices can be made rigorous rather than eyeballed.
 """
 
 import math
@@ -28,7 +29,7 @@ print("E(2) for the two named shapes at minimum 1 (closed forms are")
 print("6 zeta(2) L_{-3}(2) = 7.7111457... and 4 zeta(2) beta(2) = 6.0268120...):")
 for name, delta in [("hexagonal", math.sqrt(3) / 2), ("square", 1.0)]:
     z = epstein_zeta(1.0, delta, 2.0, 1e-8)
-    print(f"  {name:10s} E(2) = {z.value:.9f} +- {z.abs_error_bound:.1e} (radius {z.truncation_radius})")
+    print(f"  {name:10s} E(2) = {z.value:.9f} +- {z.abs_error_bound:.1e} ({z.truncation_radius} K-terms)")
 
 print()
 print("An angle-free bracket pins E(s) for every well-rounded shape of a given")

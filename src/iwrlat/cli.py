@@ -280,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_optimize)
 
-    p = subs.add_parser("zeta", help="Epstein zeta with certified truncation error")
+    p = subs.add_parser("zeta", help="Epstein zeta with a certified error bound")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--D", type=int, required=True)

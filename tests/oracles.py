@@ -1,0 +1,65 @@
+"""Independent routes the tests compare the library against.
+
+shell_sum is the direct lattice sum of E(s) over square shells, the route
+epstein_zeta took before the Chowla-Selberg expansion replaced it.  It shares
+no code with the library and costs O(N^2) terms, so the tests call it only at
+modest radius.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import mpmath
+
+U = 2.0**-53
+
+
+@dataclass(frozen=True)
+class ShellSum:
+    """E(s) over the shells up to radius; the exact sum lies within tail_bound + rounding of value."""
+
+    value: float
+    tail_bound: float
+    rounding: float
+    radius: int
+
+    @property
+    def error_bound(self) -> float:
+        return self.tail_bound + self.rounding
+
+
+def true_cos(T: float, Delta: float) -> float:
+    """cos(theta) = sqrt(1 - (Delta/T)^2) of the float inputs, correctly rounded to a float."""
+    w = 1 - (Fraction(Delta) / Fraction(T)) ** 2
+    if w <= 0:
+        return 0.0
+    with mpmath.workdps(40):
+        return float(mpmath.sqrt(mpmath.mpf(w.numerator) / w.denominator))
+
+
+def shell_sum(T: float, Delta: float, s: float, radius: int) -> ShellSum:
+    """E(s) of T (x^2 + y^2 + 2 c x y), c = true_cos(T, Delta), over max(|x|, |y|) <= radius.
+
+    Tail: c <= 1/2 gives Q >= T (x^2 + y^2 - |x y|) >= T (x^2 + y^2) / 2, and
+    one shell j holds 8 j vectors with x^2 + y^2 >= j^2, so its terms add at
+    most (2/T)^s 8 j^(1-2s) and the shells beyond N at most
+    (2/T)^s 8 [(N+1)^(1-2s) + (N+1)^(2-2s) / (2s-2)].
+    Rounding: c is within u = 2^-53 relative, so each Q within 6u, each Q^-s
+    (pow within 4u) within (6s + 4)u and the fsum of the positive terms within
+    (6s + 5)u of the exact sum; the allowance is (8s + 8)u times the value.
+    """
+    if not (isinstance(radius, int) and 1 <= radius <= 512):
+        raise ValueError(f"radius must be an int in [1, 512], got {radius!r}")
+    c2 = 2.0 * T * true_cos(T, Delta)
+    terms = []
+    for j in range(1, radius + 1):
+        # half of each shell; the other half is its mirror image (x, y) -> (-x, -y)
+        terms += [(T * (x * x + j * j) + c2 * (x * j)) ** -s for x in range(-j, j + 1)]
+        terms += [(T * (j * j + y * y) + c2 * (j * y)) ** -s for y in range(-j + 1, j)]
+    value = 2.0 * math.fsum(terms)
+    u = float(radius + 1)
+    tail = (2.0 / T) ** s * 8.0 * (u ** (1.0 - 2.0 * s) + u ** (2.0 - 2.0 * s) / (2.0 * s - 2.0))
+    return ShellSum(value, tail, (8.0 * s + 8.0) * U * value, radius)

@@ -173,13 +173,27 @@ class TestZetaAndSnrCommands:
         assert run(["snr", "--p", "1", "--q", "2", "--D", "3", "--k", "1", "--eps", "inf"]) == 2
         assert "finite and positive" in capsys.readouterr().err
 
-    def test_zeta_over_work_budget_exits_2(self, capsys):
-        # s = 1.5 at eps = 1e-9 would need ~8e9 shells
-        argv = ["zeta", "--p", "1", "--q", "2", "--D", "3", "--k", "1", "--s", "1.5", "--eps", "1e-9"]
+    def test_zeta_former_budget_input_exits_0(self, capsys):
+        # the shell sum needed ~8e9 shells here and exited 2
+        code, out = run_json(
+            capsys, ["zeta", "--p", "1", "--q", "2", "--D", "3", "--k", "1", "--s", "1.5", "--eps", "1e-9"]
+        )
+        assert code == 0
+        assert out["abs_error_bound"] <= 1e-9
+        assert 1 <= out["truncation_radius"] <= 10
+
+    def test_zeta_out_of_float_range_exits_2(self, capsys):
+        # no lattice reaches T^-s overflow, but s = 1e6 leaves the float range
+        argv = ["zeta", "--p", "1", "--q", "2", "--D", "3", "--k", "1", "--s", "1e6", "--eps", "1"]
         assert run(argv) == 2
         captured = capsys.readouterr()
-        assert "work budget" in captured.err
+        assert "exceeds the float range" in captured.err
         assert captured.out == ""
+
+    def test_zeta_unreachable_eps_exits_2(self, capsys):
+        argv = ["zeta", "--p", "1", "--q", "2", "--D", "3", "--k", "1", "--s", "2", "--eps", "1e-20"]
+        assert run(argv) == 2
+        assert "below the certified accuracy" in capsys.readouterr().err
 
     def test_zeta_bad_class_exits_2(self, capsys):
         # q^2 - p^2 not a multiple of D

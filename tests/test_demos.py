@@ -1,8 +1,8 @@
-"""Smoke test: demos 01-04 run to completion against the library in src/.
+"""Smoke test: every demo runs to completion against the library in src/.
 
 Demo 02 drives the per-r counting helpers (solutions_for_r, count_classes,
-count_primitive, count_windowed).  Demo 05 is left out: its direct shell sums
-take about a minute.
+count_primitive, count_windowed); demo 05 the certified zeta, bracket, SNR
+and monotonicity calls.
 """
 
 import os
@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
 
 
 def test_demo_set_is_complete():
-    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04"]
+    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04", "05"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)

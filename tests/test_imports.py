@@ -1,9 +1,11 @@
-"""numpy is loaded only by the zeta/SNR shell sums, never by the bracket.
+"""iwrlat runs on the standard library alone: no subcommand loads numpy.
 
-Each case runs in a fresh interpreter, so modules loaded by other tests in
-this process cannot hide or fake an import.
+Each probe runs in a fresh interpreter, so modules loaded by other tests in
+this process cannot hide or fake an import.  The dependency guard also reads
+pyproject.toml and every import statement under src/iwrlat.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -45,7 +48,7 @@ def _probe(arg):
 
 HEX_ARGS = ["--p", "1", "--q", "2", "--D", "3", "--k", "1"]
 
-WITHOUT_NUMPY = [
+SUBCOMMANDS = [
     (["classify", "--gram", "2,1,2"], 0),
     (["enumerate", "--M", "24", "--D", "5"], 0),
     (["enumerate", "--M", "1", "--D", "2"], 3),
@@ -53,11 +56,8 @@ WITHOUT_NUMPY = [
     (["optimize", "--M", "24", "--D", "5", "--density"], 0),
     (["compose", "--D", "3", "--c1", "1,2", "--c2", "1,2"], 0),
     (["table1"], 0),
-    # the work budget refuses before the shell sum imports numpy
-    (["zeta", *HEX_ARGS, "--s", "1.5", "--eps", "1e-9"], 2),
-]
-
-WITH_NUMPY = [
+    # the shell sum exited 2 here; the Chowla-Selberg sum answers
+    (["zeta", *HEX_ARGS, "--s", "1.5", "--eps", "1e-9"], 0),
     (["zeta", *HEX_ARGS, "--s", "2"], 0),
     (["snr", *HEX_ARGS], 0),
     (["enumerate", "--M", "24", "--D", "5", "--snr-eps", "1e-6"], 0),
@@ -76,11 +76,29 @@ def test_epstein_bounds_does_not_load_numpy():
     assert _probe("iwrlat.epstein_bounds(2.0, 1.5, 1e-6)") == {"code": None, "numpy": False}
 
 
-@pytest.mark.parametrize("argv, code", WITHOUT_NUMPY, ids=_ids(WITHOUT_NUMPY))
+@pytest.mark.parametrize("argv, code", SUBCOMMANDS, ids=_ids(SUBCOMMANDS))
 def test_numpy_not_loaded_without_a_shell_sum(argv, code):
     assert _probe(argv) == {"code": code, "numpy": False}
 
 
-@pytest.mark.parametrize("argv, code", WITH_NUMPY, ids=_ids(WITH_NUMPY))
-def test_numpy_loaded_by_shell_sums(argv, code):
-    assert _probe(argv) == {"code": code, "numpy": True}
+def test_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    assert "mpmath" in " ".join(project["optional-dependencies"]["test"])
+
+
+def test_library_imports_only_the_standard_library():
+    modules = sorted((SRC / "iwrlat").glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else ["iwrlat"]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "iwrlat", (path.name, name)

@@ -5,10 +5,13 @@ from decimal import Decimal, localcontext
 
 import mpmath
 import pytest
+from oracles import shell_sum
 
 from iwrlat.classes import DeterminantSpec, IwrLattice, SimilarityClass
 from iwrlat.zeta import (
     _DECIMAL,
+    _DECIMAL_FOR_FLOAT,
+    _LN_PRIMES,
     _hurwitz,
     epstein_bounds,
     epstein_zeta,
@@ -82,14 +85,19 @@ def test_homogeneity_random_scales():
 
 
 def test_doubling_certificate():
+    # the shell-sum oracle at radius N and 2N: both intervals hold the
+    # certified value, and the 2N sum lies within the N sum's own bound
     for (T, delta, s, eps) in [
         (1.0, 0.9, 1.5, 5e-3),
         (2.0, math.sqrt(3), 2.0, 1e-6),
         (5.0, 4.8, 3.0, 1e-8),
     ]:
         z = epstein_zeta(T, delta, s, eps)
-        z2 = epstein_zeta(T, delta, s, eps, radius=2 * z.truncation_radius)
-        assert abs(z.value - z2.value) <= z.abs_error_bound
+        assert z.abs_error_bound <= eps
+        half, full = shell_sum(T, delta, s, 32), shell_sum(T, delta, s, 64)
+        for o in (half, full):
+            assert abs(z.value - o.value) <= z.abs_error_bound + o.error_bound, (T, s, o.radius)
+        assert abs(half.value - full.value) <= half.error_bound + full.rounding
 
 
 def test_epstein_zeta_input_validation():
@@ -103,28 +111,102 @@ def test_epstein_zeta_input_validation():
         epstein_zeta(1.0, 1.2, 2.0, 1e-6)  # determinant above T
 
 
-def test_epstein_zeta_refuses_radius_over_work_budget():
-    # eps this small would pick N ~ 8e9 (s = 1.5, eps = 1e-9) or ~ 8e6 (eps =
-    # 1e-6) shells; both must be refused before any array is built
+def test_epstein_zeta_former_budget_inputs_answer_within_1s():
+    # the shell sum refused all of these (N ~ 8e9 shells at s = 1.5, eps =
+    # 1e-9; none at all near s = 1); the K-terms fall off like e^(-5.4 n)
     T, delta = 2.0, math.sqrt(3)
-    for eps in (1e-9, 1e-6):
+    for args in ((T, delta, 1.5, 1e-9), (T, delta, 1.5, 1e-6), (T, delta, 2.0, 1e-6), (1.0, 1.0, 1.05, 1e-9)):
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="work budget of 131072 shells"):
-            epstein_zeta(T, delta, 1.5, eps)
+        z = epstein_zeta(*args)
         assert time.perf_counter() - start < 1.0
-    with pytest.raises(ValueError, match="work budget"):
-        epstein_zeta(T, delta, 2.0, 1e-6, radius=2**17 + 1)
-    # near s = 1 no radius reaches eps; the same budget error says so
-    with pytest.raises(ValueError, match="work budget of 131072 shells"):
-        epstein_zeta(1.0, 1.0, 1.05, 1e-9)
+        assert z.abs_error_bound <= args[3]
+        assert 1 <= z.truncation_radius <= 10
 
 
-def test_epstein_zeta_radius_must_be_positive_int():
-    T, delta = 2.0, math.sqrt(3)
-    for bad in (0, -1, 2.5, 4.0, "8"):
-        with pytest.raises(ValueError, match="radius must be an int >= 1"):
-            epstein_zeta(T, delta, 2.0, 1e-6, radius=bad)
-    assert epstein_zeta(T, delta, 2.0, 1e-6, radius=1).truncation_radius == 1
+def test_truncation_radius_counts_k_terms():
+    # a smaller eps needs more K-terms, never fewer
+    radii = [epstein_zeta(1.0, 0.95, 2.0, eps).truncation_radius for eps in (1e-1, 1e-4, 1e-8, 1e-12)]
+    assert radii == sorted(radii) and radii[0] < radii[-1]
+
+
+@pytest.mark.parametrize("shape", ("square", "hexagonal"))
+def test_eps_below_the_certified_accuracy_is_refused(shape):
+    # walk eps down to the refusal: every bound granted holds the exact value,
+    # and 1e-17 lies below the float rounding of E(2) ~ 7 alone
+    square, hexagonal = _closed_forms(1.0, 2.0)
+    delta, exact = {"square": (1.0, square), "hexagonal": (math.sqrt(3) / 2, hexagonal)}[shape]
+    for k in range(6, 18):
+        try:
+            z = epstein_zeta(1.0, delta, 2.0, 10.0**-k)
+        except ValueError as exc:
+            assert "below the certified accuracy" in str(exc)
+            break
+        with mpmath.workdps(30):
+            assert abs(z.value - exact) <= z.abs_error_bound <= 10.0**-k, k
+    else:
+        pytest.fail("eps = 1e-17 was certified")
+
+
+def test_out_of_float_range_raises_value_error():
+    # T^-s overflows; a tiny minimum used to escape as OverflowError
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        epstein_zeta(1e-300, 1e-300, 2.0, 1e-6)
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        epstein_zeta(1.0, 1.0, 1e6, 1.0)
+    with pytest.raises(ValueError, match="below the float range"):
+        epstein_zeta(1e300, 1e300, 2.0, 1e-6)
+
+
+def test_large_s_cancellation_is_refused():
+    # hexagonal shape: the largest term is 37 E(s) at s = 20 and 1.6e11 E(s)
+    # at s = 100, so the rounding allowance rules out eps = 1e-6 E(s) there
+    for s, refused in ((20.0, False), (100.0, True)):
+        hexagonal = _closed_forms(1.0, s)[1]
+        eps = 1e-6 * float(hexagonal)
+        if refused:
+            with pytest.raises(ValueError, match="below the certified accuracy"):
+                epstein_zeta(1.0, math.sqrt(3) / 2, s, eps)
+        else:
+            z = epstein_zeta(1.0, math.sqrt(3) / 2, s, eps)
+            with mpmath.workdps(30):
+                assert abs(z.value - hexagonal) <= z.abs_error_bound <= eps
+
+
+CROSS_S = (1.05, 1.5, 2.0, 2.5, 3.0, 4.0, 10.0)
+
+
+def _cross_shapes():
+    rng = random.Random(20261018)
+    shapes = [(1.0, math.sqrt(3) / 2), (1.0, 1.0)]
+    for _ in range(30):
+        T = rng.uniform(1.0, 50.0)
+        shapes.append((T, T * rng.uniform(math.sqrt(3) / 2, 1.0)))
+    return shapes
+
+
+@pytest.mark.parametrize("s", CROSS_S)
+def test_chowla_selberg_agrees_with_the_shell_sum_oracle(s):
+    for T, delta in _cross_shapes():
+        z = epstein_zeta(T, delta, s, 1e-10 * T**-s)
+        o = shell_sum(T, delta, s, 32)
+        assert abs(z.value - o.value) <= z.abs_error_bound + o.error_bound, (T, delta, s)
+
+
+@pytest.mark.parametrize("s", CROSS_S)
+def test_chowla_selberg_holds_the_closed_forms(s):
+    # no allowance beyond abs_error_bound, which covers rounding
+    for T in (1.0, 37.0):
+        square, hexagonal = _closed_forms(T, s)
+        for delta, exact in ((T * math.sqrt(3) / 2, hexagonal), (T, square)):
+            z = epstein_zeta(T, delta, s, 1e-11 * float(exact))
+            with mpmath.workdps(30):
+                assert abs(z.value - exact) <= z.abs_error_bound, (T, delta, s)
+
+
+def test_prime_logarithms_are_correctly_rounded():
+    with mpmath.workdps(60):
+        for p, ln_p in _LN_PRIMES:
+            assert abs(mpmath.mpf(str(ln_p)) / mpmath.log(p) - 1) < mpmath.mpf("1e-44"), p
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -188,6 +270,16 @@ def test_hurwitz_error_bound_holds(s):
         with mpmath.workdps(60):
             exact = mpmath.mpf(q) ** -mpmath.mpf(s) * mpmath.zeta(mpmath.mpf(s), mpmath.mpf(p) / q)
             assert abs(mpmath.mpf(str(value)) - exact) <= mpmath.mpf(str(error)), (s, p, q)
+
+
+@pytest.mark.parametrize("s", (1 + 2e-6, 1.1, 3.0, 4.0, 20.0))
+def test_hurwitz_error_bound_holds_at_20_digits(s):
+    # epstein_zeta takes zeta(2s) and zeta(2s-1) from the 20-digit context
+    with localcontext(_DECIMAL_FOR_FLOAT):
+        value, error = _hurwitz(Decimal(s), 1, 1)
+    with mpmath.workdps(60):
+        assert abs(mpmath.mpf(str(value)) - mpmath.zeta(s)) <= mpmath.mpf(str(error)), s
+    assert error < Decimal("1e-16") * value  # below the rounding to float
 
 
 def test_epstein_bounds_near_one_returns_floats():
