@@ -9,7 +9,6 @@ into multiplicative number theory.
 
 from iwrlat import (
     DeterminantSpec,
-    count_bound,
     count_classes,
     count_primitive,
     count_report,
@@ -51,7 +50,7 @@ print(f"  size diagnostic {rep.diagnostic:.3f} (reported, not asserted).")
 print()
 print("Some determinants are empty; q^2 - p^2 = 2 has no integer solutions:")
 print(f"  enumerate_iwr(1, 2) = {enumerate_iwr(DeterminantSpec(1, 2))}")
-print(f"  count_bound(1, 2) = {count_bound(DeterminantSpec(1, 2))} (a bound, not a count)")
+print(f"  count_report(1, 2).bound = {count_report(DeterminantSpec(1, 2)).bound} (a bound, not a count)")
 
 print()
 print("The counts interlock through divisor sums (Mobius-invertible):")

@@ -2,8 +2,8 @@
 
 Among all integral well-rounded lattices with determinant M * sqrt(D), the
 densest one is the one with the largest minimum norm k * q.  The search
-space is the finite set of generator pairs, so the optimizer is exact; a
-brute-force argmax over the full enumeration double-checks it here.
+space is the finite set of generator pairs, so the optimizer is exact; an
+argmax over the full enumeration double-checks it here.
 """
 
 from fractions import Fraction
@@ -13,7 +13,6 @@ from iwrlat import (
     InadmissibleDeterminantError,
     enumerate_iwr,
     optimize,
-    optimize_bruteforce,
     trivial_bound,
 )
 
@@ -24,8 +23,7 @@ print(f"  {'det':>12s} {'minimum':>8s} {'class':>15s} {'scale k/q':>10s} {'< bou
 for M, D in REFERENCE:
     spec = DeterminantSpec(M, D)
     lat = optimize(spec).lattice
-    agree = lat == optimize_bruteforce(spec).lattice
-    assert agree, (M, D)
+    assert lat == max(enumerate_iwr(spec), key=lambda cand: cand.minimum), (M, D)
     print(
         f"  {f'{M}*sqrt({D})':>12s} {lat.minimum:8d} {str(lat.cls.triple()):>15s}"
         f" {str(Fraction(lat.k, lat.cls.q)):>10s} {trivial_bound(spec):9.2f}"

@@ -31,16 +31,13 @@ from .classes import (
     angle_sin_sq,
     class_from_mn,
     classify_gram,
-    dioph_param,
     e_exponent,
     gauss_reduce,
 )
 from .conic import MismatchedTypeError, class_to_point, compose, pell_add
 from .enumeration import (
     CountReport,
-    count_bound,
     count_classes,
-    count_diagnostic,
     count_primitive,
     count_report,
     count_windowed,
@@ -53,11 +50,8 @@ from .optimize import (
     InadmissibleDeterminantError,
     OptimizeResult,
     admissible_pairs,
-    objective,
     optimize,
-    optimize_bruteforce,
     trivial_bound,
-    trivial_bound_squared,
 )
 from .zeta import (
     MonotonicityReport,
@@ -93,7 +87,6 @@ __all__ = [
     "angle_sin_sq",
     "class_from_mn",
     "classify_gram",
-    "dioph_param",
     "e_exponent",
     "gauss_reduce",
     "MismatchedTypeError",
@@ -101,9 +94,7 @@ __all__ = [
     "compose",
     "pell_add",
     "CountReport",
-    "count_bound",
     "count_classes",
-    "count_diagnostic",
     "count_primitive",
     "count_report",
     "count_windowed",
@@ -114,11 +105,8 @@ __all__ = [
     "InadmissibleDeterminantError",
     "OptimizeResult",
     "admissible_pairs",
-    "objective",
     "optimize",
-    "optimize_bruteforce",
     "trivial_bound",
-    "trivial_bound_squared",
     "MonotonicityReport",
     "ZetaResult",
     "epstein_bounds",

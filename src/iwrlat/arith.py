@@ -1,8 +1,11 @@
 """Exact integer arithmetic: factorization and multiplicative functions.
 
 Everything here works on plain Python ints (arbitrary precision) and is
-deterministic: trial division by a fixed prime table, then odd candidates,
-with a Miller-Rabin certificate to stop early once the cofactor is prime.
+deterministic: trial division by the primes below 1000, a Miller-Rabin
+certificate for what is left, and Brent's rho to split a composite
+cofactor.  Primality is certified only below _PRIME_BOUND; a cofactor at or
+above it that no prime base below 1000 shows to be composite is refused
+with ValueError.
 
 Trial division is the expensive step, so it runs once per input and
 nothing is cached between calls.  A product such as r^2 D is never trial
@@ -16,7 +19,8 @@ exponents of one Factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 
 __all__ = [
     "Factorization",
@@ -30,8 +34,11 @@ __all__ = [
     "is_prime",
 ]
 
-# witnesses proven sufficient for every n < 3.3e24
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Sorenson & Webster (Math. Comp. 86, 2017): the smallest strong pseudoprime
+# to every prime base up to 41 is psi_13 = 3317044064679887385961981, so these
+# witnesses decide primality exactly below it.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
 
 
 def _sieve(limit: int) -> list[int]:
@@ -46,18 +53,13 @@ def _sieve(limit: int) -> list[int]:
 _SMALL_PRIMES = _sieve(1000)
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin, exact below 3.3e24)."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
+def _strong_probable_prime(n: int, bases) -> bool:
+    """Odd n > max(bases) passes the strong Fermat test to every base."""
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -68,6 +70,60 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test (Miller-Rabin to the prime bases up to 41).
+
+    Exact for every n < 3317044064679887385961981; raises ValueError from
+    there on, where a strong pseudoprime to all thirteen bases exists.
+    """
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"primality is certified only below {_PRIME_BOUND}, got {n}")
+    if n < 2:
+        return False
+    for p in _MR_WITNESSES:
+        if n % p == 0:
+            return n == p
+    return _strong_probable_prime(n, _MR_WITNESSES)
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of the odd composite n (Brent, BIT 20, 1980)."""
+    for c in count(1):
+        x = y = ys = 2
+        g = q = r = 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step back one value at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _split(m: int) -> list[int]:
+    """Prime factors, with multiplicity, of an m > 1 with no prime factor below 1000."""
+    if m < _PRIME_BOUND:
+        if is_prime(m):
+            return [m]
+    elif _strong_probable_prime(m, _SMALL_PRIMES):
+        raise ValueError(f"cannot certify the factor {m}: primality is certified only below {_PRIME_BOUND}")
+    d = _rho(m)
+    return _split(d) + _split(m // d)
 
 
 def _factor_tuple(n: int) -> tuple[tuple[int, int], ...]:
@@ -83,22 +139,8 @@ def _factor_tuple(n: int) -> tuple[tuple[int, int], ...]:
                 e += 1
             out.append((p, e))
     if m > 1:
-        if not is_prime(m):
-            # rare path: composite cofactor with prime factors > 1000
-            f = 1009
-            while f * f <= m:
-                if m % f == 0:
-                    e = 0
-                    while m % f == 0:
-                        m //= f
-                        e += 1
-                    out.append((f, e))
-                    if m > 1 and is_prime(m):
-                        break
-                f += 2
-        if m > 1:
-            out.append((m, 1))
-    out.sort()
+        big = _split(m)
+        out += [(p, big.count(p)) for p in sorted(set(big))]
     return tuple(out)
 
 
@@ -112,12 +154,6 @@ class Factorization:
 
     value: int
     factors: tuple[tuple[int, int], ...]
-
-    def reconstruct(self) -> int:
-        n = 1
-        for p, e in self.factors:
-            n *= p**e
-        return n
 
     def __mul__(self, other: Factorization) -> Factorization:
         """Factorization of the product, exponents merged."""

@@ -29,7 +29,6 @@ __all__ = [
     "angle_sin_sq",
     "gauss_reduce",
     "classify_gram",
-    "dioph_param",
 ]
 
 
@@ -250,35 +249,3 @@ def classify_gram(g: GramMatrix) -> tuple[SimilarityClass, int]:
     D, r = squarefree_part(q * q - p * p)
     return SimilarityClass(p, r, q, D), k
 
-
-def dioph_param(
-    alpha: int,
-    beta: int,
-    gamma: int,
-    delta: int,
-    base: tuple[int, int, int],
-    pair: tuple[int, int],
-) -> tuple[int, int, int]:
-    """Parameterize integral solutions of alpha x^2 + beta x y + gamma y^2 = delta z^2.
-
-    Given one solution `base` = (a, b, c) with c != 0 and a coprime parameter
-    pair (m, n) with m >= 0, produces another solution; every solution is a
-    rational multiple of one produced this way (z is determined up to sign,
-    the + branch is returned).
-    """
-    a, b, c = base
-    m, n = pair
-    if beta * beta == 4 * alpha * gamma:
-        raise ValueError("degenerate form: beta^2 = 4 alpha gamma")
-    if delta == 0 or c == 0:
-        raise ValueError("delta and base z-coordinate must be nonzero")
-    if alpha * a * a + beta * a * b + gamma * b * b != delta * c * c:
-        raise ValueError(f"base {base} does not solve the equation")
-    if m < 0 or gcd(m, n) != 1:
-        raise ValueError(f"parameter pair {pair} must be coprime with m >= 0")
-    x = gamma * n * (a * n - 2 * b * m) - (alpha * a + beta * b) * m * m
-    y = alpha * m * (b * m - 2 * a * n) - (gamma * b + beta * a) * n * n
-    z = c * (alpha * m * m + beta * m * n + gamma * n * n)
-    if alpha * x * x + beta * x * y + gamma * y * y != delta * z * z:
-        raise AssertionError("parameterization produced a non-solution")
-    return x, y, z

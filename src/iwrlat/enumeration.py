@@ -7,8 +7,8 @@ Window membership is tested exactly on integers (b^2 > c, b^2 <= 3c).
 
 Each call factors M and D once.  The factorizations of every r | M and of
 r^2 D are merged from those two, so r^2 D is never trial divided, and the
-per-divisor quantities (the divisors of r^2 D, tau, omega, Moebius) are
-computed once per divisor of M, not once per (r, g) pair.  The per-r helpers
+per-divisor quantities (the divisors of r^2 D, omega) are computed
+once per divisor of M, not once per (r, g) pair.  The per-r helpers
 build r^2 D the same way from factorize(r) and factorize(D), and share one
 implementation of each count with count_report.
 """
@@ -21,10 +21,10 @@ from fractions import Fraction
 from math import gcd, isqrt, sqrt
 
 from .arith import Factorization, factorize
-from .classes import DeterminantSpec, IwrLattice, SimilarityClass
+from .classes import DeterminantSpec, IwrLattice, SimilarityClass, class_from_mn
+from .optimize import admissible_pairs
 
 __all__ = [
-    "DeterminantSpec",
     "CountReport",
     "solutions_for_r",
     "count_classes",
@@ -33,8 +33,6 @@ __all__ = [
     "mobius_identity_check",
     "enumerate_iwr",
     "enumerate_iwr_via_mn",
-    "count_bound",
-    "count_diagnostic",
     "count_report",
 ]
 
@@ -89,10 +87,6 @@ def _solutions(c: Factorization, include_p_zero: bool = False) -> list[tuple[int
     return _coprime(_window_pairs(c, include_p_zero))
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n & (n - 1) == 0
-
-
 def _primitive(c: Factorization) -> int:
     n = c.value
     if n == 1:
@@ -101,7 +95,7 @@ def _primitive(c: Factorization) -> int:
     if n % 2:
         return 2 ** (w - 1)
     if n % 8 == 0:
-        if _is_power_of_two(n):
+        if n & (n - 1) == 0:  # a power of two
             return 1 if n >= 8 else 0
         return 2 ** (w - 1)
     return 0
@@ -113,14 +107,9 @@ def _row(r: int, c: Factorization) -> tuple[int, int, int, int]:
     return r, len(_coprime(pairs)), _primitive(c), len(pairs)
 
 
-def solutions_for_r(r: int, D: int, include_p_zero: bool = False) -> list[tuple[int, int]]:
-    """Primitive (p, q) with q^2 - p^2 = r^2 D and angle in [pi/3, pi/2).
-
-    include_p_zero admits the right-angle solution p = 0 (divisor b = sqrt(c),
-    possible only when r^2 D is a perfect square, i.e. D = 1); primitivity
-    then forces q = 1.  Sorted by q ascending.
-    """
-    return _solutions(_r2d(r, D), include_p_zero)
+def solutions_for_r(r: int, D: int) -> list[tuple[int, int]]:
+    """Primitive (p, q) with q^2 - p^2 = r^2 D and angle in [pi/3, pi/2), ascending in q."""
+    return _solutions(_r2d(r, D))
 
 
 def count_classes(r: int, D: int) -> int:
@@ -181,10 +170,6 @@ def enumerate_iwr_via_mn(spec: DeterminantSpec) -> list[IwrLattice]:
     Independent route: admissible pairs -> classes -> dedup; used to
     cross-check the divisor-window sweep.
     """
-    from .optimize import admissible_pairs  # deferred: optimize builds on this module
-
-    from .classes import class_from_mn
-
     seen: dict[tuple[int, int, int], IwrLattice] = {}
     for pair in admissible_pairs(spec):
         cls = class_from_mn(pair)
@@ -195,53 +180,19 @@ def enumerate_iwr_via_mn(spec: DeterminantSpec) -> list[IwrLattice]:
     return out
 
 
-def _bound(table) -> Fraction:
-    # omega(r D) = omega(r^2 D): the same primes
-    return Fraction(1, 2) * sum(2 ** c.omega() for _, _, c in table)
-
-
-def _diagnostic(table) -> float:
-    mu = {g: fg.mobius() for g, fg, _ in table}
-    # tau(g^2 D) / sqrt(omega(g D)), None where omega(g D) = 0
-    term = {g: c.tau() / sqrt(c.omega()) if c.omega() else None for g, _, c in table}
-    total = 0.0
-    for r, fr, _ in table:
-        for g in fr.divisors():
-            t, m = term[g], mu[r // g]
-            # mu * tau / sqrt(w) with mu = +-1 rounds exactly like +-t; mu = 0 adds 0.0
-            if t is None or m == 0:
-                continue
-            total += t if m > 0 else -t
-    return total
-
-
-def count_bound(spec: DeterminantSpec) -> Fraction:
-    """Exact upper bound (1/2) * sum over r | M of 2^omega(r D) for the class count.
-
-    Valid for D > 1; for D = 1 the square class escapes it (the r = D = 1
-    term contributes only 1/2).
-    """
-    return _bound(_spec_table(spec))
-
-
-def count_diagnostic(spec: DeterminantSpec) -> float:
-    """Heuristic size estimate sum_{r|M} sum_{g|r} mu(r/g) tau(g^2 D)/sqrt(omega(g D)).
-
-    Terms with omega(g D) = 0 (g = D = 1) are skipped.  Reported only; the
-    estimate is not an invariant and is never asserted against the true count.
-    Summed in the order r, then g, ascending.
-    """
-    return _diagnostic(_spec_table(spec))
-
-
 @dataclass(frozen=True)
 class CountReport:
     """Per-divisor counting table for one determinant.
 
     rows hold (r, n_classes, n_primitive, n_windowed) for each r | M;
     total sums n_classes (square class excluded), square_classes counts the
-    p = 0 lattice separately (1 iff D = 1), bound is the exact half-sum
-    estimate and diagnostic the floating heuristic.
+    p = 0 lattice separately (1 iff D = 1).
+
+    bound = (1/2) * sum over r | M of 2^omega(r D) is an exact upper bound on
+    total for D > 1 (for D = 1 the square class escapes it).  diagnostic is
+    the heuristic size estimate sum_{r|M} sum_{g|r} mu(r/g) f(g) with
+    f(g) = tau(g^2 D)/sqrt(omega(g D)), which Moebius inversion reduces to
+    f(M), and 0 when M = D = 1.  It is reported only, never asserted.
     """
 
     spec: DeterminantSpec
@@ -255,11 +206,13 @@ class CountReport:
 def count_report(spec: DeterminantSpec) -> CountReport:
     table = _spec_table(spec)
     rows = tuple(_row(r, c) for r, _, c in table)
+    top = table[-1][2]  # M^2 D
     return CountReport(
         spec=spec,
         rows=rows,
         total=sum(row[1] for row in rows),
         square_classes=1 if spec.D == 1 else 0,
-        bound=_bound(table),
-        diagnostic=_diagnostic(table),
+        # omega(r D) = omega(r^2 D): the same primes
+        bound=Fraction(1, 2) * sum(2 ** c.omega() for _, _, c in table),
+        diagnostic=top.tau() / sqrt(top.omega()) if top.omega() else 0.0,
     )

@@ -8,22 +8,17 @@ rational objective (m^2 + D n^2)/(m n) maximizes the minimum norm.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, sqrt
 from typing import NamedTuple
 
 from .classes import DeterminantSpec, IwrLattice, MnPair, SimilarityClass, class_from_mn, e_exponent
-from .enumeration import enumerate_iwr
 
 __all__ = [
     "InadmissibleDeterminantError",
     "OptimizeResult",
     "admissible_pairs",
-    "objective",
     "optimize",
-    "optimize_bruteforce",
     "trivial_bound",
-    "trivial_bound_squared",
 ]
 
 
@@ -36,10 +31,6 @@ class OptimizeResult(NamedTuple):
     maximizers: list[SimilarityClass]
 
 
-def _iroot4(x: int) -> int:
-    return isqrt(isqrt(x))
-
-
 def admissible_pairs(spec: DeterminantSpec) -> list[MnPair]:
     """All coprime (m, n) in the band whose generated r divides M.
 
@@ -50,7 +41,7 @@ def admissible_pairs(spec: DeterminantSpec) -> list[MnPair]:
     """
     M, D = spec.M, spec.D
     cap = D * M
-    n_max = _iroot4(3 * D * M * M)
+    n_max = isqrt(isqrt(3 * D * M * M))
     pairs = []
     for n in range(1, n_max + 1):
         dnn = D * n * n
@@ -68,29 +59,16 @@ def admissible_pairs(spec: DeterminantSpec) -> list[MnPair]:
     return pairs
 
 
-def objective(pair: MnPair) -> Fraction:
-    """(m^2 + D n^2)/(m n), exactly twice the generated q/r ratio."""
-    m, n = pair.m, pair.n
-    return Fraction(m * m + pair.D * n * n, m * n)
-
-
-def optimize(spec: DeterminantSpec, order: str = "heuristic") -> OptimizeResult:
+def optimize(spec: DeterminantSpec) -> OptimizeResult:
     """Lattice of maximal minimum norm with determinant M*sqrt(D).
 
-    order only changes the candidate visiting sequence ("heuristic" visits
-    large |m^2 - D n^2| first, which tends to reach the optimum immediately);
-    the returned result is an argmax over the full candidate set either way.
-    Ties (not observed: classes sharing a determinant have distinct minima)
-    would all be reported in maximizers, with the lattice taken from the
+    An argmax over every class the admissible pairs generate.  Ties (not
+    observed: classes sharing a determinant have distinct minima) would all
+    be reported in maximizers, with the lattice taken from the
     lexicographically smallest (q, p).
     """
-    if order not in ("heuristic", "lex"):
-        raise ValueError(f"unknown order {order!r}")
-    pairs = admissible_pairs(spec)
-    if order == "heuristic":
-        pairs.sort(key=lambda t: abs(t.m * t.m - t.D * t.n * t.n), reverse=True)
     classes: dict[tuple[int, int, int], SimilarityClass] = {}
-    for pair in pairs:
+    for pair in admissible_pairs(spec):
         cls = class_from_mn(pair)
         classes.setdefault(cls.triple(), cls)
     if not classes:
@@ -104,24 +82,7 @@ def optimize(spec: DeterminantSpec, order: str = "heuristic") -> OptimizeResult:
     return OptimizeResult(lat, maximizers)
 
 
-def optimize_bruteforce(spec: DeterminantSpec) -> OptimizeResult:
-    """Independent oracle: scan the full enumeration and take the argmax."""
-    lattices = enumerate_iwr(spec, include_square_class=True)
-    if not lattices:
-        raise InadmissibleDeterminantError(f"IWR({spec.M}*sqrt({spec.D})) is empty")
-    best = max(lat.minimum for lat in lattices)
-    winners = sorted(
-        (lat for lat in lattices if lat.minimum == best),
-        key=lambda lat: (lat.cls.q, lat.cls.p),
-    )
-    return OptimizeResult(winners[0], [lat.cls for lat in winners])
-
-
 def trivial_bound(spec: DeterminantSpec) -> float:
     """Upper bound 2*M*sqrt(D)/sqrt(3) on any minimum; attained only by hexagonal classes."""
     return 2.0 * spec.M * sqrt(spec.D) / sqrt(3.0)
 
-
-def trivial_bound_squared(spec: DeterminantSpec) -> Fraction:
-    """Exact square 4 M^2 D / 3 of the trivial bound, for integer comparisons."""
-    return Fraction(4 * spec.M * spec.M * spec.D, 3)

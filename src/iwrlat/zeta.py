@@ -446,21 +446,13 @@ class MonotonicityReport:
     inconclusive: tuple[tuple[int, int], ...]
 
 
-def monotonicity_check(
-    spec: DeterminantSpec, s: float, eps: float = 1e-9, mode: str = "auto"
-) -> MonotonicityReport:
+def monotonicity_check(spec: DeterminantSpec, s: float, eps: float = 1e-9) -> MonotonicityReport:
     """Check that E(s) decreases as the minimum grows, at fixed determinant.
 
-    Asserted mode is only meaningful for s >= 3 where the ordering provably
-    holds; s = 2 and other s in (1, 3) run observationally (the report is
-    returned, nothing is claimed).
+    The report's mode is "asserted" for s >= 3, where the ordering provably
+    holds, and "observational" below (the report is returned, nothing is
+    claimed).
     """
-    if mode == "auto":
-        mode = "asserted" if s >= 3 else "observational"
-    elif mode == "asserted" and s < 3:
-        raise ValueError("asserted mode requires s >= 3")
-    elif mode not in ("asserted", "observational"):
-        raise ValueError(f"unknown mode {mode!r}")
     minima, values, errors = [], [], []
     for lat in enumerate_iwr(spec):
         z = _lattice_zeta(lat, s, eps)
@@ -477,7 +469,7 @@ def monotonicity_check(
     return MonotonicityReport(
         spec=spec,
         s=float(s),
-        mode=mode,
+        mode="asserted" if s >= 3 else "observational",
         minima=tuple(minima),
         values=tuple(values),
         errors=tuple(errors),

@@ -4,6 +4,9 @@ shell_sum is the direct lattice sum of E(s) over square shells, the route
 epstein_zeta took before the Chowla-Selberg expansion replaced it.  It shares
 no code with the library and costs O(N^2) terms, so the tests call it only at
 modest radius.
+
+optimize_by_enumeration is the argmax of the minimum over enumerate_iwr's
+divisor-window list, a route that shares no step with optimize's (m, n) scan.
 """
 
 from __future__ import annotations
@@ -14,7 +17,19 @@ from fractions import Fraction
 
 import mpmath
 
+from iwrlat import DeterminantSpec, InadmissibleDeterminantError, OptimizeResult, enumerate_iwr
+
 U = 2.0**-53
+
+
+def optimize_by_enumeration(spec: DeterminantSpec) -> OptimizeResult:
+    """optimize's result read off the full enumeration: all lattices of the largest minimum."""
+    lattices = enumerate_iwr(spec, include_square_class=True)
+    if not lattices:
+        raise InadmissibleDeterminantError(f"IWR({spec.M}*sqrt({spec.D})) is empty")
+    best = max(lat.minimum for lat in lattices)
+    winners = sorted((lat for lat in lattices if lat.minimum == best), key=lambda lat: (lat.cls.q, lat.cls.p))
+    return OptimizeResult(winners[0], [lat.cls for lat in winners])
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from oracles import optimize_by_enumeration
 
 from iwrlat import (
     DeterminantSpec,
@@ -23,7 +24,6 @@ from iwrlat import (
     SimilarityClass,
     classify_gram,
     compose,
-    count_bound,
     count_classes,
     count_primitive,
     count_report,
@@ -37,7 +37,6 @@ from iwrlat import (
     mobius,
     monotonicity_check,
     optimize,
-    optimize_bruteforce,
 )
 
 
@@ -193,12 +192,12 @@ def test_optimizer_equals_bruteforce_on_grid():
             fast = optimize(spec)
         except InadmissibleDeterminantError:
             try:
-                optimize_bruteforce(spec)
+                optimize_by_enumeration(spec)
             except InadmissibleDeterminantError:
                 continue
-            failures.append((spec, "only the heuristic path thinks this is empty"))
+            failures.append((spec, "only the (m, n) scan thinks this is empty"))
             continue
-        brute = optimize_bruteforce(spec)
+        brute = optimize_by_enumeration(spec)
         if fast.lattice != brute.lattice or fast.maximizers != brute.maximizers:
             failures.append((spec, fast.lattice, brute.lattice))
         compared += 1
@@ -293,7 +292,7 @@ def test_count_bound_dominates_on_grid():
         for M in range(1, 201):
             spec = DeterminantSpec(M, D)
             total = sum(_class_count(r, D) for r in divisors(M))
-            if total > count_bound(spec):
+            if total > count_report(spec).bound:
                 failures.append((M, D, total))
             checked += 1
     _check(
@@ -368,9 +367,10 @@ def test_bounds_sandwich_random_shapes():
 
 
 def test_interference_ordering_certified_at_s3():
-    rep = monotonicity_check(DeterminantSpec(24, 5), 3.0, eps=1e-9, mode="asserted")
+    rep = monotonicity_check(DeterminantSpec(24, 5), 3.0, eps=1e-9)
     ok = (
-        rep.certified
+        rep.mode == "asserted"
+        and rep.certified
         and rep.decreasing_observed
         and rep.minima == (54, 56, 58, 61)
         and not rep.inconclusive

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -28,22 +29,31 @@ def test_factorize_rejects_nonpositive():
 
 
 def test_factorize_large_semiprime():
-    p, q = 1_000_003, 1_000_033
-    f = factorize(p * q)
-    assert f.factors == ((p, 1), (q, 1))
+    # every prime factor lies beyond the trial-division primes
+    for n, factors in (
+        (1_000_003 * 1_000_033, ((1_000_003, 1), (1_000_033, 1))),
+        (999_999_937 * 1_000_000_007, ((999_999_937, 1), (1_000_000_007, 1))),
+        (1009**2 * 1013**3, ((1009, 2), (1013, 3))),
+        ((2**61 - 1) * (2**31 - 1) ** 2, ((2**31 - 1, 2), (2**61 - 1, 1))),
+    ):
+        assert factorize(n).factors == factors
+
+
+def _product(f):
+    return math.prod(p**e for p, e in f.factors)
 
 
 def test_factorization_reconstruct():
     f = factorize(360)
     assert isinstance(f, Factorization)
-    assert f.reconstruct() == 360 == f.value
+    assert _product(f) == 360 == f.value
 
 
 def test_full_reconstruction_sweep_to_one_million():
     # the strongest functional check factorize gets: every value round-trips
     for n in range(1, 1_000_001):
         f = factorize(n)
-        assert f.reconstruct() == n
+        assert _product(f) == n
 
 
 def test_divisors_examples():
@@ -101,6 +111,39 @@ def test_is_prime_known_values():
     assert all(is_prime(p) for p in primes)
     composites = [1, 4, 9, 561, 1105, 6601, 10**12 + 1, 2**61 + 1]
     assert not any(is_prime(c) for c in composites)
+
+
+# psi_12 and psi_13: the smallest strong pseudoprimes to every prime base up to
+# 37 and up to 41 (Sorenson & Webster, Math. Comp. 86, 2017)
+PSI_12 = 399165290221 * 798330580441
+PSI_13 = 1287836182261 * 2575672364521
+
+
+def test_is_prime_refuses_from_psi_13_on():
+    assert PSI_13 == 3317044064679887385961981
+    for n in (PSI_13, PSI_13 + 2, 2**89 - 1, 2**100):
+        with pytest.raises(ValueError, match="certified only below"):
+            is_prime(n)
+    # the base 41 exposes psi_12, which the twelve bases up to 37 take for a prime
+    assert PSI_12 == 318665857834031151167461
+    assert not is_prime(PSI_12)
+    # the largest prime below psi_13 is still certified
+    assert is_prime(PSI_13 - 168) and not is_prime(PSI_13 - 170)
+
+
+def test_factorize_splits_strong_pseudoprimes():
+    for n, primes in ((PSI_13, (1287836182261, 2575672364521)), (PSI_12, (399165290221, 798330580441))):
+        f = factorize(n)
+        assert f.factors == tuple((p, 1) for p in primes)
+        assert all(is_prime(p) for p in primes)
+    assert factorize(2**100).factors == ((2, 100),)
+    assert factorize(7 * PSI_13**2).factors == ((7, 1), (1287836182261, 2), (2575672364521, 2))
+
+
+def test_factorize_refuses_uncertified_prime_factor():
+    for n in (2**89 - 1, 6 * (2**89 - 1)):
+        with pytest.raises(ValueError, match="cannot certify the factor 618970019642690137449562111"):
+            factorize(n)
 
 
 def test_factorize_random_products():

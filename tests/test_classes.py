@@ -15,7 +15,6 @@ from iwrlat.classes import (
     angle_sin_sq,
     class_from_mn,
     classify_gram,
-    dioph_param,
     e_exponent,
     gauss_reduce,
 )
@@ -170,47 +169,3 @@ def test_classify_gram_handles_negative_b_and_unreduced_input():
     cls, k = classify_gram(GramMatrix(61, 90, 180))
     assert (cls, k) == (BIG, 1)
 
-
-def test_dioph_param_examples():
-    out = dioph_param(1, 0, 5, 1, (1, 0, 1), (15, 4))
-    assert out == (-145, -120, 305)
-    x, y, z = out
-    assert x * x + 5 * y * y == z * z
-    assert dioph_param(1, 0, 5, 1, (1, 0, 1), (1, 0)) == (-1, 0, 1)
-    x, y, z = dioph_param(1, 0, 3, 1, (1, 0, 1), (1, 1))
-    assert (abs(x), abs(y), abs(z)) == (2, 2, 4)  # proportional to (1, 1, 2)
-
-
-def test_dioph_param_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        dioph_param(1, 2, 1, 1, (1, 0, 1), (1, 1))  # beta^2 = 4 alpha gamma
-    with pytest.raises(ValueError):
-        dioph_param(1, 0, 5, 0, (1, 0, 1), (1, 1))  # delta = 0
-    with pytest.raises(ValueError):
-        dioph_param(1, 0, 5, 1, (1, 0, 0), (1, 1))  # c = 0
-    with pytest.raises(ValueError):
-        dioph_param(1, 0, 5, 1, (2, 0, 1), (1, 1))  # base not a solution
-    with pytest.raises(ValueError):
-        dioph_param(1, 0, 5, 1, (1, 0, 1), (2, 4))  # gcd(m, n) > 1
-
-
-def test_dioph_param_randomized_equation_property():
-    rng = random.Random(20260815)
-    checked = 0
-    while checked < 1000:
-        alpha = rng.randint(-6, 6)
-        beta = rng.randint(-6, 6)
-        gamma = rng.randint(-6, 6)
-        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-        delta = alpha * a * a + beta * a * b + gamma * b * b
-        if delta == 0 or beta * beta == 4 * alpha * gamma:
-            continue
-        m = rng.randint(0, 12)
-        n = rng.randint(-12, 12)
-        from math import gcd
-
-        if gcd(m, abs(n)) != 1:
-            continue
-        x, y, z = dioph_param(alpha, beta, gamma, delta, (a, b, 1), (m, n))
-        assert alpha * x * x + beta * x * y + gamma * y * y == delta * z * z
-        checked += 1

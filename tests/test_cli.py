@@ -103,6 +103,12 @@ class TestEnumerateCommand:
         assert run(["enumerate", "--M", "24", "--D", "4"]) == 2
         capsys.readouterr()
 
+    def test_uncertified_prime_factor_exits_2(self, capsys):
+        # 2^89 - 1 is prime, but beyond the bound below which primality is certified
+        for sub in ("enumerate", "count"):
+            assert run([sub, "--M", str(2**89 - 1), "--D", "1"]) == 2
+        assert "cannot certify" in capsys.readouterr().err
+
     def test_square_class_flag(self, capsys):
         code, default = run_json(capsys, ["enumerate", "--M", "12", "--D", "1"])
         assert code == 0

@@ -1,15 +1,13 @@
 from fractions import Fraction
-from math import gcd, sqrt
+from math import gcd, isclose, sqrt
 
 import pytest
 
 from iwrlat import enumeration
 from iwrlat.arith import divisors, mobius, omega, tau
-from iwrlat.classes import DeterminantSpec, SimilarityClass, classify_gram
+from iwrlat.classes import DeterminantSpec, IwrLattice, SimilarityClass, classify_gram
 from iwrlat.enumeration import (
-    count_bound,
     count_classes,
-    count_diagnostic,
     count_primitive,
     count_report,
     count_windowed,
@@ -26,7 +24,8 @@ def test_solutions_for_r_examples():
     # c = 3 window holds b = 3 with a = 1, both odd: the hexagonal witness
     assert solutions_for_r(1, 3) == [(1, 2)]
     assert solutions_for_r(1, 1) == []
-    assert solutions_for_r(1, 1, include_p_zero=True) == [(0, 1)]
+    # the right angle p = 0 comes only with the square class
+    assert enumerate_iwr(DeterminantSpec(1, 1)) == [IwrLattice(SimilarityClass(0, 1, 1, 1), 1)]
 
 
 def test_count_classes_examples():
@@ -100,15 +99,15 @@ def test_enumerate_via_mn_matches():
 
 
 def test_count_bound_examples():
-    assert count_bound(DeterminantSpec(24, 5)) == 21
-    assert count_bound(DeterminantSpec(1, 3)) == 1
-    assert count_bound(DeterminantSpec(1, 1)) == Fraction(1, 2)
+    assert count_report(DeterminantSpec(24, 5)).bound == 21
+    assert count_report(DeterminantSpec(1, 3)).bound == 1
+    assert count_report(DeterminantSpec(1, 1)).bound == Fraction(1, 2)
 
 
 def test_count_diagnostic_examples():
-    assert count_diagnostic(DeterminantSpec(1, 3)) == pytest.approx(2.0)
-    assert count_diagnostic(DeterminantSpec(2, 3)) == pytest.approx(2 + 6 / 2**0.5 - 2)
-    assert count_diagnostic(DeterminantSpec(1, 1)) == 0.0
+    assert count_report(DeterminantSpec(1, 3)).diagnostic == pytest.approx(2.0)
+    assert count_report(DeterminantSpec(2, 3)).diagnostic == pytest.approx(2 + 6 / 2**0.5 - 2)
+    assert count_report(DeterminantSpec(1, 1)).diagnostic == 0.0
 
 
 def test_count_report_structure():
@@ -227,6 +226,7 @@ def _oracle_report(M, D):
         for r in divisors(M)
     )
     bound = Fraction(1, 2) * sum(2 ** omega(r * D) for r in divisors(M))
+    # the double sum as defined; the library uses its Moebius-inverted closed form
     diagnostic = 0.0
     for r in divisors(M):
         for g in divisors(r):
@@ -253,8 +253,9 @@ def test_enumeration_and_counts_match_direct_formulas(D):
         rows, total, bound, diagnostic = _oracle_report(M, D)
         assert rep.rows == rows
         assert rep.total == total
-        assert rep.bound == bound == count_bound(spec)
-        assert rep.diagnostic == diagnostic == count_diagnostic(spec)
+        assert rep.bound == bound
+        # the closed form and the double sum round differently, by at most 4.5e-15 relative here
+        assert isclose(rep.diagnostic, diagnostic, rel_tol=1e-14)
         if M * sqrt(D) <= 3e4:
             via = enumerate_iwr_via_mn(spec)
             assert [(lat.cls, lat.k) for lat in via] == [(lat.cls, lat.k) for lat in lattices]

@@ -2,10 +2,12 @@
 
 Each probe runs in a fresh interpreter, so modules loaded by other tests in
 this process cannot hide or fake an import.  The dependency guard also reads
-pyproject.toml and every import statement under src/iwrlat.
+pyproject.toml and every import statement under src/iwrlat.  The surface
+guard keeps the package's __all__ equal to the union of its modules' lists.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -102,3 +104,24 @@ def test_library_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "iwrlat", (path.name, name)
+
+
+LIBRARY_MODULES = ("arith", "classes", "conic", "enumeration", "optimize", "zeta")
+
+
+def test_package_exports_exactly_the_modules_public_names():
+    import iwrlat
+
+    assert sorted(p.stem for p in (SRC / "iwrlat").glob("*.py")) == sorted(
+        ["__init__", "__main__", "cli", *LIBRARY_MODULES]
+    )
+    lists = {name: importlib.import_module(f"iwrlat.{name}").__all__ for name in LIBRARY_MODULES}
+    owners = {}
+    for module, names in lists.items():
+        for name in names:
+            assert name not in owners, f"{name} exported by both {owners[name]} and {module}"
+            owners[name] = module
+            assert getattr(importlib.import_module(f"iwrlat.{module}"), name) is getattr(iwrlat, name)
+    public = [name for name in iwrlat.__all__ if name != "__version__"]
+    assert len(public) == len(set(public))
+    assert set(public) == set(owners)

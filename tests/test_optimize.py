@@ -1,19 +1,16 @@
-import sys
 from fractions import Fraction
 
 import pytest
+from oracles import optimize_by_enumeration
 
 from iwrlat.arith import is_squarefree
-from iwrlat.classes import DeterminantSpec, MnPair
-from iwrlat.optimize import (
-    InadmissibleDeterminantError,
-    admissible_pairs,
-    objective,
-    optimize,
-    optimize_bruteforce,
-    trivial_bound,
-    trivial_bound_squared,
-)
+from iwrlat.classes import DeterminantSpec, MnPair, class_from_mn
+from iwrlat.optimize import InadmissibleDeterminantError, admissible_pairs, optimize, trivial_bound
+
+
+def _bound_squared(spec):
+    """Exact square 4 M^2 D / 3 of trivial_bound."""
+    return Fraction(4 * spec.M * spec.M * spec.D, 3)
 
 
 def test_admissible_pairs_examples():
@@ -49,9 +46,10 @@ def test_admissible_pairs_complete_against_bruteforce():
 
 
 def test_objective_examples():
-    assert objective(MnPair(1, 1, 3)) == 4
-    assert objective(MnPair(15, 4, 5)) == Fraction(61, 12)
-    assert objective(MnPair(2, 1, 5)) == Fraction(9, 2)
+    # a pair's lattice has minimum (M/r) q = (M/2) (m^2 + D n^2)/(m n): the ratio optimize ranks by
+    for (m, n, D), ratio in (((1, 1, 3), 4), ((15, 4, 5), Fraction(61, 12)), ((2, 1, 5), Fraction(9, 2))):
+        cls = class_from_mn(MnPair(m, n, D))
+        assert Fraction(m * m + D * n * n, m * n) == ratio == Fraction(2 * cls.q, cls.r)
 
 
 def test_optimize_reference_rows():
@@ -77,7 +75,7 @@ def test_optimize_reference_rows():
 def test_24_root_17_template_beats_published_value():
     # direct witness that 106 is attainable and optimal for det 24*sqrt(17)
     res = optimize(DeterminantSpec(24, 17))
-    brute = optimize_bruteforce(DeterminantSpec(24, 17))
+    brute = optimize_by_enumeration(DeterminantSpec(24, 17))
     assert res.lattice.minimum == brute.lattice.minimum == 106 > 104
 
 
@@ -103,40 +101,20 @@ def test_optimize_matches_bruteforce_on_grid():
                 fast = optimize(spec)
             except InadmissibleDeterminantError:
                 with pytest.raises(InadmissibleDeterminantError):
-                    optimize_bruteforce(spec)
+                    optimize_by_enumeration(spec)
                 continue
-            brute = optimize_bruteforce(spec)
+            brute = optimize_by_enumeration(spec)
             assert (fast.lattice.cls, fast.lattice.k) == (brute.lattice.cls, brute.lattice.k)
 
 
-def test_heuristic_order_never_changes_result():
-    for (M, D) in [(24, 5), (24, 17), (105, 19), (40, 6), (36, 7), (12, 1)]:
-        a = optimize(DeterminantSpec(M, D), order="heuristic")
-        b = optimize(DeterminantSpec(M, D), order="lex")
-        assert (a.lattice.cls, a.lattice.k) == (b.lattice.cls, b.lattice.k)
-        assert a.maximizers == b.maximizers
-    with pytest.raises(ValueError):
-        optimize(DeterminantSpec(24, 5), order="random")
-
-
-def test_unknown_order_refused_before_scanning(monkeypatch):
-    def no_scan(spec):
-        raise AssertionError("admissible_pairs called before the order was checked")
-
-    # the package re-exports the function optimize under the submodule's name
-    monkeypatch.setattr(sys.modules["iwrlat.optimize"], "admissible_pairs", no_scan)
-    with pytest.raises(ValueError, match="unknown order 'random'"):
-        optimize(DeterminantSpec(10**7, 5), order="random")
-
-
 def test_trivial_bound():
-    assert trivial_bound_squared(DeterminantSpec(24, 5)) == Fraction(3840)
+    assert _bound_squared(DeterminantSpec(24, 5)) == Fraction(3840)
     assert 3840 >= 61 * 61
     assert trivial_bound(DeterminantSpec(1, 3)) == pytest.approx(2.0)
     assert trivial_bound(DeterminantSpec(24, 17)) == pytest.approx(114.2628, abs=1e-3)
     # equality in the bound happens exactly for hexagonal results (2p = q)
     res = optimize(DeterminantSpec(1, 3))
-    assert res.lattice.minimum**2 == trivial_bound_squared(DeterminantSpec(1, 3))
+    assert res.lattice.minimum**2 == _bound_squared(DeterminantSpec(1, 3))
 
 
 def test_bound_dominates_on_grid():
@@ -148,7 +126,7 @@ def test_bound_dominates_on_grid():
             except InadmissibleDeterminantError:
                 continue
             mn = res.lattice.minimum
-            assert Fraction(mn * mn) <= trivial_bound_squared(spec)
+            assert Fraction(mn * mn) <= _bound_squared(spec)
             cls = res.lattice.cls
-            if mn * mn == trivial_bound_squared(spec):
+            if mn * mn == _bound_squared(spec):
                 assert 2 * cls.p == cls.q

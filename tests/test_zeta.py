@@ -338,8 +338,6 @@ def test_monotonicity_observational_at_s2():
     rep = monotonicity_check(DeterminantSpec(24, 5), 2.0)
     assert rep.mode == "observational"
     assert len(rep.values) == 4
-    with pytest.raises(ValueError):
-        monotonicity_check(DeterminantSpec(24, 5), 2.0, mode="asserted")
 
 
 def test_monotonicity_trivial_when_single_class():
