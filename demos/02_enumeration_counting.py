@@ -2,9 +2,12 @@
 
 The determinant of an integral well-rounded plane lattice is M * sqrt(D)
 with integers M >= 1 and squarefree D >= 1, and for each divisor r of M the
-classes that can appear are exactly the solutions of q^2 - p^2 = r^2 D in
-the angle window.  That turns enumeration into a divisor sweep, and counting
-into multiplicative number theory.
+classes that can appear are exactly the primitive solutions of
+q^2 - p^2 = r^2 D in the angle window.  Each is a coprime splitting: q + p
+and q - p split r^2 D into coprime factors (or, halved, r^2 D / 4 when
+8 | r^2 D).  So enumeration builds the classes from the prime powers of
+r^2 D, and counting becomes multiplicative number theory: dropping the gcd
+condition gives the windowed count, the divisor sum of the class counts.
 """
 
 from iwrlat import (

@@ -8,12 +8,10 @@ above it that no prime base below 1000 shows to be composite is refused
 with ValueError.
 
 Trial division is the expensive step, so it runs once per input and
-nothing is cached between calls.  A product such as r^2 D is never trial
-divided: its Factorization is built by merging exponents (``fr * fr * fD``
-for ``fr = factorize(r)``, ``fD = factorize(D)``), a divisor's
-Factorization is read off its parent's primes (``Factorization.divisor``),
-and every divisor list, tau, omega and Moebius value comes from the
-exponents of one Factorization.
+nothing is cached between calls.  A product need not be trial divided: its
+Factorization is built by merging exponents (``fa * fb``), and every divisor
+list, tau, omega and Moebius value comes from the exponents of one
+Factorization.
 """
 
 from __future__ import annotations
@@ -161,21 +159,6 @@ class Factorization:
         for p, e in other.factors:
             exps[p] = exps.get(p, 0) + e
         return Factorization(self.value * other.value, tuple(sorted(exps.items())))
-
-    def divisor(self, d: int) -> Factorization:
-        """Factorization of a divisor d of this value, read off its primes."""
-        if d < 1 or self.value % d:
-            raise ValueError(f"{d} does not divide {self.value}")
-        out = []
-        m = d
-        for p, _ in self.factors:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e:
-                out.append((p, e))
-        return Factorization(d, tuple(out))
 
     def divisors(self) -> list[int]:
         """All positive divisors, ascending."""

@@ -1,24 +1,36 @@
 """Enumerate and count the well-rounded classes sharing a determinant M*sqrt(D).
 
-Every class with second coordinate r comes from a divisor b of c = r^2 D in
-the half-open window sqrt(c) < b <= sqrt(3c): writing a = c/b, the candidate
-is p = (b-a)/2, q = (b+a)/2, which needs a = b (mod 2) and gcd(p, q) = 1.
-Window membership is tested exactly on integers (b^2 > c, b^2 <= 3c).
+A class with second coordinate r is a primitive (p, q) with q^2 - p^2 = c for
+c = r^2 D, p > 0 and 2p <= q.  Writing q + p = b and q - p = c/b, the angle
+window is sqrt(c) < b <= sqrt(3c), and primitivity makes the split coprime:
 
-Each call factors M and D once.  The factorizations of every r | M and of
-r^2 D are merged from those two, so r^2 D is never trial divided, and the
-per-divisor quantities (the divisors of r^2 D, omega) are computed
-once per divisor of M, not once per (r, g) pair.  The per-r helpers
-build r^2 D the same way from factorize(r) and factorize(D), and share one
-implementation of each count with count_report.
+  - c odd:   b = u for a unitary divisor u of c (gcd(u, c/u) = 1), and
+             (p, q) = ((u - c/u)/2, (u + c/u)/2);
+  - 8 | c:   b = 2u for a unitary divisor u of c' = c/4, and
+             (p, q) = (u - c'/u, u + c'/u);
+  - else (c = 2 mod 4, or c = 4 mod 8): no primitive pair.
+
+So the classes of r are the unitary divisors u of n = c or c/4 with
+n < u^2 <= 3n, tested exactly on integers.  They are built from the prime
+powers of n and pruned at isqrt(3n): at most 2^omega(c) candidates instead of
+the tau(c) divisors, and gcd(p, q) = 1 holds by construction.
+
+Each call factors M and D once.  One table lists (r, r^2 D, exponents of
+r^2 D) for every r | M in mixed-radix order over the primes of M, read off
+the two factorizations.  The windowed count of r (the window pairs without
+the gcd condition) needs no second scan: a window pair with gcd g is g times
+a class of r/g, and g | r because D is squarefree, so it is the divisor sum
+of the class counts, one prefix sum along each prime axis of the table.  The
+per-r helpers build the same table for r.  Only count_windowed, whose
+definition it is, and mobius_identity_check, which ties it to the splits,
+list every divisor of r^2 D.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, sqrt
+from math import isqrt, prod, sqrt
 
 from .arith import Factorization, factorize
 from .classes import DeterminantSpec, IwrLattice, SimilarityClass, class_from_mn
@@ -36,85 +48,111 @@ __all__ = [
     "count_report",
 ]
 
-
-def _factor_pair(r: int, D: int) -> tuple[Factorization, Factorization]:
-    if r < 1 or D < 1:
-        raise ValueError("r and D must be positive")
-    return factorize(r), factorize(D)
+Row = tuple[int, int, tuple[int, ...]]
 
 
-def _r2d(r: int, D: int) -> Factorization:
-    fr, fD = _factor_pair(r, D)
-    return fr * fr * fD
+def _divisor_table(fM: Factorization, fD: Factorization) -> tuple[tuple[int, ...], list[Row]]:
+    """The primes of M D, and (r, r^2 D, exponents of r^2 D on those primes) for each r | M.
 
-
-def _divisor_table(fM: Factorization, fD: Factorization) -> list[tuple[int, Factorization, Factorization]]:
-    """(r, factorization of r, factorization of r^2 D) for each r | M, ascending."""
-    table = []
-    for r in fM.divisors():
-        fr = fM.divisor(r)
-        table.append((r, fr, fr * fr * fD))
-    return table
-
-
-def _spec_table(spec: DeterminantSpec) -> list[tuple[int, Factorization, Factorization]]:
-    return _divisor_table(factorize(spec.M), factorize(spec.D))
-
-
-def _window_pairs(c: Factorization, include_p_zero: bool = False) -> list[tuple[int, int]]:
-    """(p, q) for each divisor b of c in the angle window with matching parity, ascending in q.
-
-    No gcd filter.  include_p_zero widens the window to b = sqrt(c).
+    Rows are in mixed-radix order over the primes of M, the first fastest:
+    r = prod p_i^a_i sits at index sum a_i s_i, where s_i is the product of
+    (e_j + 1) over the primes p_j of M before p_i.  So M is the last row.
     """
-    n = c.value
-    ds = c.divisors()
-    # b^2 > n  <=>  b > isqrt(n);  b^2 >= n  <=>  b > isqrt(n - 1);  b^2 <= 3n  <=>  b <= isqrt(3n)
-    lo = bisect_right(ds, isqrt(n - 1) if include_p_zero else isqrt(n))
-    hi = bisect_right(ds, isqrt(3 * n), lo)
-    out = []
-    for b in ds[lo:hi]:
-        a = n // b
-        if (a + b) % 2 == 0:
-            out.append(((b - a) // 2, (a + b) // 2))
+    eD = dict(fD.factors)
+    primes = tuple(sorted(eD.keys() | dict(fM.factors).keys()))
+    table = [(1, fD.value, tuple(eD.get(p, 0) for p in primes))]
+    for p, e in fM.factors:
+        i = primes.index(p)
+        block = table
+        for k in range(1, e + 1):
+            pk = p**k
+            table = table + [(r * pk, c * pk * pk, x[:i] + (x[i] + 2 * k,) + x[i + 1 :]) for r, c, x in block]
+    return primes, table
+
+
+def _divisor_sums(counts: list[int], fM: Factorization) -> list[int]:
+    """At each row of the table of M, the sum of counts over the rows of the divisors of its r."""
+    out = list(counts)
+    stride = 1
+    for _, e in fM.factors:
+        span = stride * (e + 1)
+        for i in range(len(out)):
+            if i % span >= stride:
+                out[i] += out[i - stride]
+        stride = span
     return out
 
 
-def _coprime(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    return [(p, q) for p, q in pairs if gcd(p, q) == 1]
+def _r_table(r: int, D: int) -> tuple[tuple[int, ...], list[Row]]:
+    if r < 1 or D < 1:
+        raise ValueError("r and D must be positive")
+    return _divisor_table(factorize(r), factorize(D))
 
 
-def _solutions(c: Factorization, include_p_zero: bool = False) -> list[tuple[int, int]]:
-    return _coprime(_window_pairs(c, include_p_zero))
+def _r_row(r: int, D: int) -> tuple[tuple[int, ...], Row]:
+    primes, table = _r_table(r, D)
+    return primes, table[-1]
 
 
-def _primitive(c: Factorization) -> int:
-    n = c.value
-    if n == 1:
-        return 0
-    w = c.omega()
-    if n % 2:
-        return 2 ** (w - 1)
-    if n % 8 == 0:
-        if n & (n - 1) == 0:  # a power of two
-            return 1 if n >= 8 else 0
-        return 2 ** (w - 1)
+def _splits(c: int, primes: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, list[int]]:
+    """(n, us): n = c (c odd) or c/4 (8 | c), and its unitary divisors u with n < u^2 <= 3n.
+
+    us is unsorted, and empty when c has no primitive pair.
+    """
+    powers = [p**e for p, e in zip(primes, x) if e]
+    if c % 2 == 0:
+        if c % 8:
+            return c, []
+        c //= 4
+        powers[0] //= 4  # the power of 2, the smallest prime
+    top = isqrt(3 * c)
+    us = [1]
+    for pk in powers:
+        us += [u * pk for u in us if u * pk <= top]
+    low = isqrt(c)
+    return c, [u for u in us if u > low]
+
+
+def _pairs(c: int, primes: tuple[int, ...], x: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The classes (p, q) of q^2 - p^2 = c in the angle window, ascending in q."""
+    n, us = _splits(c, primes, x)
+    us.sort()
+    if n == c:
+        return [((u - n // u) // 2, (u + n // u) // 2) for u in us]
+    return [(u - n // u, u + n // u) for u in us]
+
+
+def _window_count(c: int, primes: tuple[int, ...], x: tuple[int, ...]) -> int:
+    """Divisors b of c with c < b^2 <= 3c and c/b of b's parity: the window pairs, no gcd filter."""
+    top = isqrt(3 * c)
+    ds = [1]
+    for p, e in zip(primes, x):
+        ds += [d * pk for pk in [p**k for k in range(1, e + 1)] for d in ds if d * pk <= top]
+    low = isqrt(c)
+    return sum(1 for b in ds if b > low and (b + c // b) % 2 == 0)
+
+
+def _omega(x: tuple[int, ...]) -> int:
+    return sum(1 for e in x if e)
+
+
+def _primitive(c: int, x: tuple[int, ...]) -> int:
+    # one class per unordered coprime split {a, b} of c or c/4 with a < b
+    if c % 2 and c > 1 or c % 8 == 0:
+        return 2 ** (_omega(x) - 1)
     return 0
-
-
-def _row(r: int, c: Factorization) -> tuple[int, int, int, int]:
-    """(r, n_classes, n_primitive, n_windowed) from c = r^2 D; one window scan for both counts."""
-    pairs = _window_pairs(c)
-    return r, len(_coprime(pairs)), _primitive(c), len(pairs)
 
 
 def solutions_for_r(r: int, D: int) -> list[tuple[int, int]]:
     """Primitive (p, q) with q^2 - p^2 = r^2 D and angle in [pi/3, pi/2), ascending in q."""
-    return _solutions(_r2d(r, D))
+    primes, (_, c, x) = _r_row(r, D)
+    return _pairs(c, primes, x)
 
 
 def count_classes(r: int, D: int) -> int:
     """Classes of type D with second coordinate exactly r (p > 0)."""
-    return len(solutions_for_r(r, D))
+    primes, (_, c, x) = _r_row(r, D)
+    return len(_splits(c, primes, x)[1])
 
 
 def count_primitive(r: int, D: int) -> int:
@@ -126,25 +164,33 @@ def count_primitive(r: int, D: int) -> int:
       - c = 2^j:                             1 if j >= 3 else 0
       - otherwise (c = 1, or 2 | c, 8 !| c): 0
     """
-    return _primitive(_r2d(r, D))
+    _, (_, c, x) = _r_row(r, D)
+    return _primitive(c, x)
 
 
 def count_windowed(r: int, D: int) -> int:
     """Divisors of r^2 D in the angle window with matching parity (no gcd filter)."""
-    return len(_window_pairs(_r2d(r, D)))
+    primes, (_, c, x) = _r_row(r, D)
+    return _window_count(c, primes, x)
 
 
 def mobius_identity_check(r: int, D: int) -> bool:
-    """Both inversion identities tying the gcd-filtered and unfiltered counts.
+    """Both inversion identities tying the class counts to the direct window scan.
 
-    count_windowed(r) = sum over g | r of count_classes(r/g), and back via Moebius.
+    count_windowed(r) = sum over g | r of count_classes(r/g), and back via
+    Moebius.  The class counts come from the coprime splits, the windowed
+    counts from the scan over every divisor, so the identities tie the two
+    routes together.
     """
-    table = _divisor_table(*_factor_pair(r, D))
-    rows = {g: _row(g, c) for g, _, c in table}
-    mu = {g: fg.mobius() for g, fg, _ in table}
-    if sum(rows[r // g][1] for g in rows) != rows[r][3]:
+    primes, table = _r_table(r, D)
+    classes = [len(_splits(c, primes, x)[1]) for _, c, x in table]
+    windowed = [_window_count(c, primes, x) for _, c, x in table]
+    # the exponent of g in g^2 D is e // 2 (D squarefree); r/g sits at top - i when g sits at i
+    mu = [0 if any(e > 3 for e in x) else (-1) ** sum(e // 2 for e in x) for _, _, x in table]
+    top = len(table) - 1
+    if sum(classes) != windowed[top]:
         return False
-    return sum(mu[r // g] * rows[g][3] for g in rows) == rows[r][1]
+    return sum(mu[top - i] * w for i, w in enumerate(windowed)) == classes[top]
 
 
 def enumerate_iwr(spec: DeterminantSpec, include_square_class: bool = True) -> list[IwrLattice]:
@@ -155,10 +201,13 @@ def enumerate_iwr(spec: DeterminantSpec, include_square_class: bool = True) -> l
     and only when include_square_class is set.
     """
     M, D = spec.M, spec.D
+    primes, table = _divisor_table(factorize(M), factorize(D))
     found = []
-    for r, _, c in _spec_table(spec):
+    for r, c, x in table:
         k = M // r
-        for p, q in _solutions(c, include_p_zero=include_square_class):
+        if c == 1 and include_square_class:
+            found.append(IwrLattice(SimilarityClass(0, 1, 1, 1), k))
+        for p, q in _pairs(c, primes, x):
             found.append(IwrLattice(SimilarityClass(p, r, q, D), k))
     found.sort(key=lambda lat: (lat.minimum, lat.cls.q, lat.cls.p))
     return found
@@ -204,15 +253,19 @@ class CountReport:
 
 
 def count_report(spec: DeterminantSpec) -> CountReport:
-    table = _spec_table(spec)
-    rows = tuple(_row(r, c) for r, _, c in table)
-    top = table[-1][2]  # M^2 D
+    fM, fD = factorize(spec.M), factorize(spec.D)
+    primes, table = _divisor_table(fM, fD)
+    classes = [len(_splits(c, primes, x)[1]) for _, c, x in table]
+    windowed = _divisor_sums(classes, fM)
+    rows = sorted((r, n, _primitive(c, x), w) for (r, c, x), n, w in zip(table, classes, windowed))
+    top = table[-1][2]  # exponents of M^2 D
+    w_top = _omega(top)
     return CountReport(
         spec=spec,
-        rows=rows,
-        total=sum(row[1] for row in rows),
+        rows=tuple(rows),
+        total=sum(classes),
         square_classes=1 if spec.D == 1 else 0,
         # omega(r D) = omega(r^2 D): the same primes
-        bound=Fraction(1, 2) * sum(2 ** c.omega() for _, _, c in table),
-        diagnostic=top.tau() / sqrt(top.omega()) if top.omega() else 0.0,
+        bound=Fraction(1, 2) * sum(2 ** _omega(x) for _, _, x in table),
+        diagnostic=prod(e + 1 for e in top) / sqrt(w_top) if w_top else 0.0,
     )

