@@ -9,10 +9,13 @@ well-rounded lattice in the class, with minimum k*q and determinant k*r*sqrt(D).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .arith import is_squarefree, squarefree_part
+
+if TYPE_CHECKING:  # angle_cos and angle_sin_sq import it where they build one
+    from fractions import Fraction
 
 __all__ = [
     "NotIntegralError",
@@ -184,11 +187,15 @@ def class_from_mn(pair: MnPair) -> SimilarityClass:
 
 def angle_cos(cls: SimilarityClass) -> Fraction:
     """Cosine of the angle between minimal vectors, exactly p/q."""
+    from fractions import Fraction
+
     return Fraction(cls.p, cls.q)
 
 
 def angle_sin_sq(cls: SimilarityClass) -> Fraction:
     """Squared sine of that angle, exactly r^2 D / q^2."""
+    from fractions import Fraction
+
     return Fraction(cls.r * cls.r * cls.D, cls.q * cls.q)
 
 

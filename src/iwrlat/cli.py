@@ -3,16 +3,18 @@
 Exit codes: 0 success, 2 invalid input (bad flags, non-squarefree D,
 non-positive-definite Gram, off-conic operands), 3 empty result set
 (no integral well-rounded lattice has the requested determinant).
+
+Beyond `classes` and `optimize`, each handler imports the layers it calls
+where it calls them, so an invocation loads only those: interpreter start
+and imports are most of a small invocation's time.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-from fractions import Fraction
 from math import isqrt
 
 from .classes import (
@@ -22,10 +24,7 @@ from .classes import (
     SimilarityClass,
     classify_gram,
 )
-from .conic import compose
-from .enumeration import count_report, enumerate_iwr
 from .optimize import InadmissibleDeterminantError, optimize
-from .zeta import epstein_zeta, packing_density, snr
 
 __all__ = ["run", "main"]
 
@@ -60,8 +59,12 @@ def _lattice_record(lat: IwrLattice, density: bool = False, snr_eps: float | Non
         "gram": lat.gram().rows(),
     }
     if density:
+        from .zeta import packing_density
+
         rec["packing_density"] = packing_density(lat)
     if snr_eps is not None:
+        from .zeta import snr
+
         rec["snr_db"] = snr(lat, snr_eps)
     return rec
 
@@ -79,6 +82,8 @@ def _flatten_record(rec: dict) -> dict:
 
 
 def _emit_records_csv(records: list[dict]) -> None:
+    import csv
+
     flats = [_flatten_record(r) for r in records]
     base = ["p", "r", "q", "D", "k", "min_norm", "det_M", "det_D", "cos_theta", "gram"]
     extra = [k for k in ("packing_density", "snr_db") if flats and k in flats[0]]
@@ -120,6 +125,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import enumerate_iwr
+
     spec = DeterminantSpec(args.M, args.D)
     lattices = enumerate_iwr(spec, include_square_class=args.include_square_class)
     records = [_lattice_record(lat, args.density, args.snr_eps) for lat in lattices]
@@ -131,6 +138,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .enumeration import count_report
+
     rep = count_report(DeterminantSpec(args.M, args.D))
     _emit_json(
         {
@@ -161,6 +170,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    from .zeta import epstein_zeta
+
     cls = _class_from_pq(args.p, args.q, args.D)
     lat = IwrLattice(cls, args.k)
     delta = lat.k * cls.r * math.sqrt(cls.D)
@@ -189,6 +200,8 @@ def _cmd_snr(args) -> int:
 
 
 def _cmd_compose(args) -> int:
+    from .conic import compose
+
     c1 = _parse_class(args.c1, args.D)
     c2 = _parse_class(args.c2, args.D)
     _emit_json({"class": _class_dict(compose(c1, c2))})
@@ -204,7 +217,7 @@ def _table1_rows() -> list[dict]:
             discrepancy = "min_norm corrected"
         elif (c.p, c.q) != (ref_p, ref_q):
             discrepancy = "class corrected"
-        elif Fraction(lat.k, c.q) != Fraction(ref_num, ref_den):
+        elif lat.k * ref_den != ref_num * c.q:
             discrepancy = "scale corrected"
         else:
             discrepancy = None
@@ -226,6 +239,8 @@ def _table1_rows() -> list[dict]:
 def _cmd_table1(args) -> int:
     rows = _table1_rows()
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(["M", "D", "min_norm", "p", "r", "q", "k", "scale_num", "scale_den", "discrepancy"])
         for row in rows:

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 
 from .classes import DeterminantSpec, IwrLattice
-from .enumeration import enumerate_iwr
 
 __all__ = [
     "ZetaResult",
@@ -453,6 +452,8 @@ def monotonicity_check(spec: DeterminantSpec, s: float, eps: float = 1e-9) -> Mo
     holds, and "observational" below (the report is returned, nothing is
     claimed).
     """
+    from .enumeration import enumerate_iwr
+
     minima, values, errors = [], [], []
     for lat in enumerate_iwr(spec):
         z = _lattice_zeta(lat, s, eps)

@@ -1,4 +1,4 @@
-"""iwrlat runs on the standard library alone: no subcommand loads numpy.
+"""iwrlat runs on the standard library alone, and loads each layer on first use.
 
 Each probe runs in a fresh interpreter, so modules loaded by other tests in
 this process cannot hide or fake an import.  The dependency guard also reads
@@ -7,9 +7,11 @@ guard keeps the package's __all__ equal to the union of its modules' lists.
 """
 
 import ast
+import functools
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -30,15 +32,21 @@ if isinstance(arg, list):
 else:
     import iwrlat
     exec(arg or "")
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+modules = sorted(m for m in sys.modules if m == "iwrlat" or m.startswith("iwrlat."))
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "modules": modules}))
 """
 
 
 def _probe(arg):
     """Run the CLI on an argv list, or a statement after `import iwrlat`, in a fresh interpreter."""
+    return _run_probe(json.dumps(arg))
+
+
+@functools.lru_cache(maxsize=None)
+def _run_probe(arg_json):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(arg)],
+        [sys.executable, "-c", _PROBE, arg_json],
         env=env,
         capture_output=True,
         text=True,
@@ -48,39 +56,127 @@ def _probe(arg):
     return json.loads(proc.stdout)
 
 
+def _loaded(*layers):
+    """What `import iwrlat` loads, plus `layers`."""
+    return sorted(["iwrlat", "iwrlat.arith", "iwrlat.classes", "iwrlat.optimize", *(f"iwrlat.{m}" for m in layers)])
+
+
 HEX_ARGS = ["--p", "1", "--q", "2", "--D", "3", "--k", "1"]
 
+# argv, exit code, the layers it loads beyond `import iwrlat.cli`
 SUBCOMMANDS = [
-    (["classify", "--gram", "2,1,2"], 0),
-    (["enumerate", "--M", "24", "--D", "5"], 0),
-    (["enumerate", "--M", "1", "--D", "2"], 3),
-    (["count", "--M", "24", "--D", "5"], 0),
-    (["optimize", "--M", "24", "--D", "5", "--density"], 0),
-    (["compose", "--D", "3", "--c1", "1,2", "--c2", "1,2"], 0),
-    (["table1"], 0),
+    (["classify", "--gram", "2,1,2"], 0, ()),
+    (["enumerate", "--M", "24", "--D", "5"], 0, ("enumeration",)),
+    (["enumerate", "--M", "1", "--D", "2"], 3, ("enumeration",)),
+    (["count", "--M", "24", "--D", "5"], 0, ("enumeration",)),
+    (["optimize", "--M", "24", "--D", "5", "--density"], 0, ("zeta",)),
+    (["compose", "--D", "3", "--c1", "1,2", "--c2", "1,2"], 0, ("conic",)),
+    (["table1"], 0, ()),
     # the shell sum exited 2 here; the Chowla-Selberg sum answers
-    (["zeta", *HEX_ARGS, "--s", "1.5", "--eps", "1e-9"], 0),
-    (["zeta", *HEX_ARGS, "--s", "2"], 0),
-    (["snr", *HEX_ARGS], 0),
-    (["enumerate", "--M", "24", "--D", "5", "--snr-eps", "1e-6"], 0),
+    (["zeta", *HEX_ARGS, "--s", "1.5", "--eps", "1e-9"], 0, ("zeta",)),
+    (["zeta", *HEX_ARGS, "--s", "2"], 0, ("zeta",)),
+    (["snr", *HEX_ARGS], 0, ("zeta",)),
+    (["enumerate", "--M", "24", "--D", "5", "--snr-eps", "1e-6"], 0, ("enumeration", "zeta")),
 ]
 
 
 def _ids(cases):
-    return ["_".join(argv).replace("--", "") for argv, _ in cases]
+    return ["_".join(case[0]).replace("--", "") for case in cases]
 
 
 def test_import_iwrlat_does_not_load_numpy():
-    assert _probe(None) == {"code": None, "numpy": False}
+    assert _probe(None)["numpy"] is False
 
 
 def test_epstein_bounds_does_not_load_numpy():
-    assert _probe("iwrlat.epstein_bounds(2.0, 1.5, 1e-6)") == {"code": None, "numpy": False}
+    assert _probe("iwrlat.epstein_bounds(2.0, 1.5, 1e-6)")["numpy"] is False
 
 
-@pytest.mark.parametrize("argv, code", SUBCOMMANDS, ids=_ids(SUBCOMMANDS))
-def test_numpy_not_loaded_without_a_shell_sum(argv, code):
-    assert _probe(argv) == {"code": code, "numpy": False}
+@pytest.mark.parametrize("argv, code, layers", SUBCOMMANDS, ids=_ids(SUBCOMMANDS))
+def test_numpy_not_loaded_without_a_shell_sum(argv, code, layers):
+    out = _probe(argv)
+    assert (out["code"], out["numpy"]) == (code, False)
+
+
+def test_import_iwrlat_loads_only_the_layers_every_subcommand_needs():
+    assert _probe(None)["modules"] == _loaded()
+
+
+@pytest.mark.parametrize("argv, code, layers", SUBCOMMANDS, ids=_ids(SUBCOMMANDS))
+def test_subcommand_loads_only_the_layers_it_calls(argv, code, layers):
+    assert _probe(argv)["modules"] == _loaded("cli", *layers)
+
+
+def test_lazy_layers_are_the_package_submodules():
+    stmt = "for name in ('conic', 'enumeration', 'zeta'): assert getattr(iwrlat, name) is sys.modules['iwrlat.' + name]"
+    assert _probe(stmt)["modules"] == _loaded("conic", "enumeration", "zeta")
+
+
+def test_lazy_names_follow_a_rebinding_in_their_module():
+    stmt = """
+import iwrlat.zeta as layer
+original = layer.snr
+layer.snr = wrapped = lambda *args: original(*args)
+assert iwrlat.snr is wrapped
+layer.snr = original
+assert iwrlat.snr is original and "snr" not in vars(iwrlat)
+"""
+    _probe(stmt)
+
+
+def test_package_attribute_optimize_stays_the_function():
+    stmt = """
+import inspect
+import iwrlat.optimize
+assert inspect.isfunction(iwrlat.optimize), iwrlat.optimize
+import iwrlat.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert iwrlat.cli.run(["optimize", "--M", "24", "--D", "5"]) == 0
+assert inspect.isfunction(iwrlat.optimize), iwrlat.optimize
+assert iwrlat.optimize is sys.modules["iwrlat.optimize"].optimize
+"""
+    _probe(stmt)
+
+
+def test_star_import_and_dir_cover_all_public_names():
+    stmt = """
+listed = set(dir(iwrlat))
+from iwrlat import *
+missing = [name for name in iwrlat.__all__ if name not in globals() or name not in listed]
+assert not missing, missing
+assert {"conic", "enumeration", "zeta"} <= listed
+"""
+    assert _probe(stmt)["modules"] == _loaded("conic", "enumeration", "zeta")
+
+
+def test_unknown_attribute_raises_attribute_error():
+    stmt = """
+try:
+    iwrlat.nope
+except AttributeError as exc:
+    assert "nope" in str(exc)
+else:
+    raise AssertionError("iwrlat.nope resolved")
+assert not hasattr(iwrlat, "nope")
+"""
+    assert _probe(stmt)["modules"] == _loaded()
+
+
+def test_results_of_lazy_layers_unpickle_in_a_fresh_interpreter():
+    import iwrlat
+
+    report = iwrlat.count_report(iwrlat.DeterminantSpec(24, 5))
+    zeta = iwrlat.epstein_zeta(2.0, 3**0.5, 2.0, 1e-8)
+    for obj in (report, zeta):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    blob = pickle.dumps((report, zeta)).hex()
+    stmt = f"""
+import pickle
+report, zeta = pickle.loads(bytes.fromhex({blob!r}))
+assert report == iwrlat.count_report(iwrlat.DeterminantSpec(24, 5)), report
+assert zeta == iwrlat.epstein_zeta(2.0, 3**0.5, 2.0, 1e-8), zeta
+"""
+    assert _probe(stmt)["modules"] == _loaded("enumeration", "zeta")
 
 
 def test_no_runtime_dependencies():
