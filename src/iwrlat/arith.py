@@ -12,13 +12,23 @@ nothing is cached between calls.  A product need not be trial divided: its
 Factorization is built by merging exponents (``fa * fb``), and every divisor
 list, tau, omega and Moebius value comes from the exponents of one
 Factorization.
+
+Factorization and the value classes of `classes` and `enumeration` are
+immutable and slotted, and compared, hashed and shown by their fields, as
+frozen dataclasses were: assigning or deleting a field raises AttributeError,
+no longer its subclass dataclasses.FrozenInstanceError.  They derive from
+`_Value` below instead of using `@dataclass`, whose import loads `inspect`
+and `ast` and whose generated methods are compiled from source as each class
+is defined: more than half of the time of `import iwrlat`.  The zeta layer's
+results stay dataclasses, because callers use `dataclasses.replace` on them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import count
+from copyreg import __newobj__
+from itertools import count, repeat
 from math import gcd, isqrt
+from operator import attrgetter
 
 __all__ = [
     "Factorization",
@@ -142,16 +152,66 @@ def _factor_tuple(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class _Value:
+    """An immutable record whose fields are its `__slots__`, in that order.
+
+    A subclass names two or more fields in `__slots__` and sets each one in
+    its `__init__` with `object.__setattr__`.  As for a frozen dataclass,
+    instances compare equal only to instances of the same class with equal
+    fields, hash as the tuple of their fields, and show, match, pickle and
+    copy by their fields; unpickling and copying do not run `__init__`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls.__slots__
+        cls._astuple = attrgetter(*cls.__slots__)
+
+    # Read through attrgetter, == and hash take 1.5 to 1.9 times as long as a
+    # dataclass's, whose generated code names each field.  SimilarityClass and
+    # IwrLattice, built and compared in bulk, name theirs in their own methods.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == self._astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._astuple(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return __newobj__, (self.__class__,), self._astuple(self)
+
+    def __setstate__(self, values):
+        if isinstance(values, dict):  # pickled while these classes were dataclasses
+            values = [values[name] for name in self.__slots__]
+        # object.__setattr__ mapped in C: a Python loop made loads 15% slower
+        any(map(object.__setattr__, repeat(self), self.__slots__, values))
+
+
+class Factorization(_Value):
     """Prime factorization of a positive integer, exponents sorted by prime.
 
     Products, divisors and the multiplicative functions are all computed
     from the exponents; none of them factors anything again.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("value", "factors")
+
+    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "factors", factors)
 
     def __mul__(self, other: Factorization) -> Factorization:
         """Factorization of the product, exponents merged."""

@@ -8,11 +8,10 @@ well-rounded lattice in the class, with minimum k*q and determinant k*r*sqrt(D).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .arith import is_squarefree, squarefree_part
+from .arith import _Value, is_squarefree, squarefree_part
 
 if TYPE_CHECKING:  # angle_cos and angle_sin_sq import it where they build one
     from fractions import Fraction
@@ -47,19 +46,19 @@ class NotWellRoundedError(ValueError):
     """Lattice has distinct successive minima, so no class coordinates exist."""
 
 
-@dataclass(frozen=True)
-class SimilarityClass:
+class SimilarityClass(_Value):
     """Coordinates (p, r, q, D) of a well-rounded similarity class.
 
     p = 0 is the square class: it forces D = 1 and q = r = 1 (gcd(0, q) = q).
     """
 
-    p: int
-    r: int
-    q: int
-    D: int
+    __slots__ = ("p", "r", "q", "D")
 
-    def __post_init__(self):
+    def __init__(self, p: int, r: int, q: int, D: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "D", D)
         for name in ("p", "r", "q", "D"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
@@ -75,23 +74,32 @@ class SimilarityClass:
         if 2 * self.p > self.q:
             raise ValueError(f"2p > q for {self} (angle outside [pi/3, pi/2])")
 
+    # each field named, as fast as the dataclass methods (see arith._Value)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.r, self.q, self.D) == (other.p, other.r, other.q, other.D)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.r, self.q, self.D))
+
     def triple(self) -> tuple[int, int, int]:
         return (self.p, self.r, self.q)
 
 
-@dataclass(frozen=True)
-class MnPair:
+class MnPair(_Value):
     """Coprime generator pair (m, n) for classes of type D.
 
     The band D n^2 <= 3 m^2 and m^2 <= 3 D n^2 keeps the generated angle
     inside [pi/3, pi/2].
     """
 
-    m: int
-    n: int
-    D: int
+    __slots__ = ("m", "n", "D")
 
-    def __post_init__(self):
+    def __init__(self, m: int, n: int, D: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "D", D)
         if self.m < 1 or self.n < 1 or self.D < 1:
             raise ValueError(f"m, n, D must be positive: {self}")
         if not is_squarefree(self.D):
@@ -104,30 +112,39 @@ class MnPair:
             raise ValueError(f"pair above band (m^2 > 3 D n^2): {self}")
 
 
-@dataclass(frozen=True)
-class DeterminantSpec:
+class DeterminantSpec(_Value):
     """Determinant M * sqrt(D) of an integral well-rounded lattice."""
 
-    M: int
-    D: int
+    __slots__ = ("M", "D")
 
-    def __post_init__(self):
+    def __init__(self, M: int, D: int):
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "D", D)
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
         if self.D < 1 or not is_squarefree(self.D):
             raise ValueError(f"D must be squarefree >= 1, got {self.D}")
 
 
-@dataclass(frozen=True)
-class IwrLattice:
+class IwrLattice(_Value):
     """Scaled class representative sqrt(k/q) * (minimal lattice), Gram k[[q,p],[p,q]]."""
 
-    cls: SimilarityClass
-    k: int
+    __slots__ = ("cls", "k")
 
-    def __post_init__(self):
+    def __init__(self, cls: SimilarityClass, k: int):
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "k", k)
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ValueError(f"k must be a positive int, got {self.k!r}")
+
+    # each field named, as fast as the dataclass methods (see arith._Value)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.cls, self.k) == (other.cls, other.k)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.cls, self.k))
 
     @property
     def minimum(self) -> int:
@@ -143,15 +160,15 @@ class IwrLattice:
         return GramMatrix(k * c.q, k * c.p, k * c.q)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(_Value):
     """Positive definite integral binary form [[a, b], [b, c]]."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
+    def __init__(self, a: int, b: int, c: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
         for name in ("a", "b", "c"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):

@@ -28,11 +28,10 @@ list every divisor of r^2 D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod, sqrt
 
-from .arith import Factorization, factorize
+from .arith import Factorization, _Value, factorize
 from .classes import DeterminantSpec, IwrLattice, SimilarityClass, class_from_mn
 from .optimize import admissible_pairs
 
@@ -50,6 +49,26 @@ __all__ = [
 
 Row = tuple[int, int, tuple[int, ...]]
 
+# The most classes, by _class_bound, that one call may build.  The bound also
+# caps the rows of the table (tau(M) <= 2 * bound) and the divisors that
+# count_windowed scans (tau(r^2 D) = 2 * bound of r).  Work is under a
+# microsecond per unit of bound: enumerate_iwr takes 0.64 s at the product of
+# the odd primes 3..43 with D = 1, bound 1594323/2 (2 cores, Python 3.11.7).
+_CLASS_BUDGET = 2**20
+
+
+def _class_bound(fM: Factorization, fD: Factorization) -> Fraction:
+    """(1/2) * sum over r | M of 2^omega(r D), read off the exponents of M.
+
+    omega(r D) = omega(D) + the primes of r outside D, so a prime p^e of M
+    contributes a factor e + 1 when p | D and 1 + 2e otherwise.
+    """
+    eD = dict(fD.factors)
+    n = 2 ** len(eD)
+    for p, e in fM.factors:
+        n *= e + 1 if p in eD else 1 + 2 * e
+    return Fraction(n, 2)
+
 
 def _divisor_table(fM: Factorization, fD: Factorization) -> tuple[tuple[int, ...], list[Row]]:
     """The primes of M D, and (r, r^2 D, exponents of r^2 D on those primes) for each r | M.
@@ -57,7 +76,14 @@ def _divisor_table(fM: Factorization, fD: Factorization) -> tuple[tuple[int, ...
     Rows are in mixed-radix order over the primes of M, the first fastest:
     r = prod p_i^a_i sits at index sum a_i s_i, where s_i is the product of
     (e_j + 1) over the primes p_j of M before p_i.  So M is the last row.
+    Raises ValueError, before building a row, when the class bound of M and D
+    exceeds _CLASS_BUDGET.
     """
+    bound = _class_bound(fM, fD)
+    if bound > _CLASS_BUDGET:
+        raise ValueError(
+            f"the class bound of IWR({fM.value}*sqrt({fD.value})) is {bound}, over the budget of {_CLASS_BUDGET}"
+        )
     eD = dict(fD.factors)
     primes = tuple(sorted(eD.keys() | dict(fM.factors).keys()))
     table = [(1, fD.value, tuple(eD.get(p, 0) for p in primes))]
@@ -229,8 +255,7 @@ def enumerate_iwr_via_mn(spec: DeterminantSpec) -> list[IwrLattice]:
     return out
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(_Value):
     """Per-divisor counting table for one determinant.
 
     rows hold (r, n_classes, n_primitive, n_windowed) for each r | M;
@@ -244,12 +269,23 @@ class CountReport:
     f(M), and 0 when M = D = 1.  It is reported only, never asserted.
     """
 
-    spec: DeterminantSpec
-    rows: tuple[tuple[int, int, int, int], ...]
-    total: int
-    square_classes: int
-    bound: Fraction
-    diagnostic: float
+    __slots__ = ("spec", "rows", "total", "square_classes", "bound", "diagnostic")
+
+    def __init__(
+        self,
+        spec: DeterminantSpec,
+        rows: tuple[tuple[int, int, int, int], ...],
+        total: int,
+        square_classes: int,
+        bound: Fraction,
+        diagnostic: float,
+    ):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "square_classes", square_classes)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "diagnostic", diagnostic)
 
 
 def count_report(spec: DeterminantSpec) -> CountReport:
@@ -265,7 +301,6 @@ def count_report(spec: DeterminantSpec) -> CountReport:
         rows=tuple(rows),
         total=sum(classes),
         square_classes=1 if spec.D == 1 else 0,
-        # omega(r D) = omega(r^2 D): the same primes
-        bound=Fraction(1, 2) * sum(2 ** _omega(x) for _, _, x in table),
+        bound=_class_bound(fM, fD),
         diagnostic=prod(e + 1 for e in top) / sqrt(w_top) if w_top else 0.0,
     )

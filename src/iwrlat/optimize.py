@@ -22,6 +22,13 @@ __all__ = [
 ]
 
 
+# The most steps, by n_max^2 * isqrt(3 D), that one (m, n) scan may take.  A
+# step costs about 90 ns (2 cores, Python 3.11.7), so a scan at the budget
+# takes about 100 s; the largest determinant of the query benchmark,
+# 3 * 10^5 * sqrt(29), takes 2.5 * 10^7 units and 2.3 s.
+_STEP_BUDGET = 2**30
+
+
 class InadmissibleDeterminantError(ValueError):
     """No integral well-rounded lattice has this determinant."""
 
@@ -37,11 +44,16 @@ def admissible_pairs(spec: DeterminantSpec) -> list[MnPair]:
     Loop bounds: r = 2mn/(2^e gcd(m, D)) | M and 2^e gcd(m, D) <= 2D give
     mn <= D*M; combining with the band D n^2 <= 3 m^2 <= 9 D n^2 yields
     m^4 <= 3 D^3 M^2 and n^4 <= 3 D M^2.  Within those bounds the band and
-    divisibility tests below are exact, so no pair is missed.
+    divisibility tests below are exact, so no pair is missed.  Raises
+    ValueError, before the scan, when n_max^2 * isqrt(3 D), a bound on its
+    steps, exceeds _STEP_BUDGET.
     """
     M, D = spec.M, spec.D
     cap = D * M
     n_max = isqrt(isqrt(3 * D * M * M))
+    steps = n_max * n_max * isqrt(3 * D)
+    if steps > _STEP_BUDGET:
+        raise ValueError(f"the (m, n) scan for {M}*sqrt({D}) may take {steps} steps, over the budget of {_STEP_BUDGET}")
     pairs = []
     for n in range(1, n_max + 1):
         dnn = D * n * n

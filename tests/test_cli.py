@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,13 @@ class TestOptimizeCommand:
     def test_inadmissible_exits_3(self, capsys):
         assert run(["optimize", "--M", "1", "--D", "2"]) == 3
         assert "error" in capsys.readouterr().err
+
+    def test_over_the_step_budget_exits_2_at_once(self, capsys):
+        # the (m, n) scan of 2^89 - 1 would take about 10^27 steps
+        start = time.perf_counter()
+        assert run(["optimize", "--M", str(2**89 - 1), "--D", "1"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "over the budget" in capsys.readouterr().err
 
     def test_csv_single_row(self, capsys):
         code = run(["optimize", "--M", "24", "--D", "5", "--format", "csv"])
@@ -108,6 +116,17 @@ class TestEnumerateCommand:
         for sub in ("enumerate", "count"):
             assert run([sub, "--M", str(2**89 - 1), "--D", "1"]) == 2
         assert "cannot certify" in capsys.readouterr().err
+
+    def test_over_the_class_budget_exits_2_at_once(self, capsys):
+        # the product of the first 18 odd primes: class bound 3^18 / 2, where
+        # building the classes ran out of memory
+        for sub in ("enumerate", "count"):
+            start = time.perf_counter()
+            assert run([sub, "--M", "3929160775540133527939545", "--D", "1"]) == 2
+            assert time.perf_counter() - start < 1
+            assert "the class bound of IWR(3929160775540133527939545*sqrt(1)) is 387420489/2" in (
+                capsys.readouterr().err
+            )
 
     def test_square_class_flag(self, capsys):
         code, default = run_json(capsys, ["enumerate", "--M", "12", "--D", "1"])

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from math import gcd, isclose, sqrt
+from math import gcd, isclose, prod, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +147,23 @@ def test_determinant_spec_validation():
         DeterminantSpec(24, 12)  # 12 = 4 * 3 not squarefree
 
 
+ODD_PRIMES_TO_43 = prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
+
+
+def test_class_budget_answers_below_and_refuses_above():
+    # bound 3^13 / 2 = 797161.5 is within the budget of 2^20 = 1048576 ...
+    rep = count_report(DeterminantSpec(ODD_PRIMES_TO_43, 1))
+    assert rep.bound == Fraction(3**13, 2) and rep.total <= rep.bound
+    # ... and one more factor 3 makes it 5 * 3^12 / 2 = 1328602.5
+    over = 3 * ODD_PRIMES_TO_43
+    for call in (enumerate_iwr, count_report):
+        with pytest.raises(ValueError, match="is 2657205/2, over the budget of 1048576"):
+            call(DeterminantSpec(over, 1))
+    for helper in (solutions_for_r, count_classes, count_windowed, count_primitive, mobius_identity_check):
+        with pytest.raises(ValueError, match="over the budget"):
+            helper(over, 1)
+
+
 # --- factor-once: only M and D reach factorize --------------------------------
 
 
@@ -257,7 +274,8 @@ def test_enumeration_and_counts_match_direct_formulas(D):
         rows, total, bound, diagnostic = _oracle_report(M, D)
         assert rep.rows == rows
         assert rep.total == total
-        assert rep.bound == bound
+        # the closed form of the bound is the sum, to the byte
+        assert repr(rep.bound) == repr(bound)
         # the closed form and the double sum round differently, by at most 4.5e-15 relative here
         assert isclose(rep.diagnostic, diagnostic, rel_tol=1e-14)
         if M * sqrt(D) <= 3e4:

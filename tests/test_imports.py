@@ -1,7 +1,9 @@
 """iwrlat runs on the standard library alone, and loads each layer on first use.
 
 Each probe runs in a fresh interpreter, so modules loaded by other tests in
-this process cannot hide or fake an import.  The dependency guard also reads
+this process cannot hide or fake an import.  Outside the zeta layer the value
+classes are slotted classes, not dataclasses, so neither `dataclasses` nor
+the `inspect` it imports is loaded.  The dependency guard also reads
 pyproject.toml and every import statement under src/iwrlat.  The surface
 guard keeps the package's __all__ equal to the union of its modules' lists.
 """
@@ -33,7 +35,8 @@ else:
     import iwrlat
     exec(arg or "")
 modules = sorted(m for m in sys.modules if m == "iwrlat" or m.startswith("iwrlat."))
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "modules": modules}))
+stdlib = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "modules": modules, "stdlib": stdlib}))
 """
 
 
@@ -69,6 +72,7 @@ SUBCOMMANDS = [
     (["enumerate", "--M", "24", "--D", "5"], 0, ("enumeration",)),
     (["enumerate", "--M", "1", "--D", "2"], 3, ("enumeration",)),
     (["count", "--M", "24", "--D", "5"], 0, ("enumeration",)),
+    (["optimize", "--M", "24", "--D", "5"], 0, ()),
     (["optimize", "--M", "24", "--D", "5", "--density"], 0, ("zeta",)),
     (["compose", "--D", "3", "--c1", "1,2", "--c2", "1,2"], 0, ("conic",)),
     (["table1"], 0, ()),
@@ -105,6 +109,44 @@ def test_import_iwrlat_loads_only_the_layers_every_subcommand_needs():
 @pytest.mark.parametrize("argv, code, layers", SUBCOMMANDS, ids=_ids(SUBCOMMANDS))
 def test_subcommand_loads_only_the_layers_it_calls(argv, code, layers):
     assert _probe(argv)["modules"] == _loaded("cli", *layers)
+
+
+def test_import_iwrlat_loads_neither_dataclasses_nor_inspect():
+    assert _probe(None)["stdlib"] == []
+
+
+# the zeta layer keeps its dataclasses: callers apply dataclasses.replace to a ZetaResult
+WITHOUT_ZETA = [case for case in SUBCOMMANDS if "zeta" not in case[2]]
+
+
+@pytest.mark.parametrize("argv, code, layers", WITHOUT_ZETA, ids=_ids(WITHOUT_ZETA))
+def test_subcommand_without_zeta_loads_neither_dataclasses_nor_inspect(argv, code, layers):
+    assert _probe(argv)["stdlib"] == []
+
+
+# each message embeds the repr of a value class, which is the dataclass repr
+REPR_ERRORS = [
+    (["classify", "--gram", "1,2,1"], b"error: not positive definite: GramMatrix(a=1, b=2, c=1)\n"),
+    (
+        ["snr", "--p", "3", "--q", "5", "--D", "1", "--k", "1"],
+        b"error: 2p > q for SimilarityClass(p=3, r=4, q=5, D=1) (angle outside [pi/3, pi/2])\n",
+    ),
+    (
+        ["compose", "--D", "3", "--c1", "2,4", "--c2", "1,2"],
+        b"error: gcd(p, q) != 1 for SimilarityClass(p=2, r=2, q=4, D=3)\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, stderr", REPR_ERRORS, ids=_ids(REPR_ERRORS))
+def test_error_message_embeds_the_value_repr(argv, stderr):
+    proc = subprocess.run(
+        [sys.executable, "-m", "iwrlat", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", stderr)
 
 
 def test_lazy_layers_are_the_package_submodules():

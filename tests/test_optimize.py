@@ -5,6 +5,7 @@ from oracles import optimize_by_enumeration
 
 from iwrlat.arith import is_squarefree
 from iwrlat.classes import DeterminantSpec, MnPair, class_from_mn
+from iwrlat.enumeration import enumerate_iwr_via_mn
 from iwrlat.optimize import InadmissibleDeterminantError, admissible_pairs, optimize, trivial_bound
 
 
@@ -18,6 +19,15 @@ def test_admissible_pairs_examples():
     assert admissible_pairs(DeterminantSpec(1, 2)) == []
     got = {(p.m, p.n) for p in admissible_pairs(DeterminantSpec(24, 5))}
     assert got >= {(2, 1), (3, 1), (5, 2), (5, 3), (10, 3), (15, 4), (4, 3)}
+
+
+def test_scan_over_the_step_budget_is_refused_up_front():
+    # n_max^2 * isqrt(3 D) is about 10^27 for 2^89 - 1: the scan would never end
+    spec = DeterminantSpec(2**89 - 1, 1)
+    for call in (admissible_pairs, optimize, enumerate_iwr_via_mn):
+        with pytest.raises(ValueError, match="over the budget of 1073741824") as info:
+            call(spec)
+        assert not isinstance(info.value, InadmissibleDeterminantError)
 
 
 def test_admissible_pairs_complete_against_bruteforce():
