@@ -1,11 +1,12 @@
 """Exact integer arithmetic: factorization and multiplicative functions.
 
 Everything here works on plain Python ints (arbitrary precision) and is
-deterministic: trial division by the primes below 1000, a Miller-Rabin
-certificate for what is left, and Brent's rho to split a composite
-cofactor.  Primality is certified only below _PRIME_BOUND; a cofactor at or
-above it that no prime base below 1000 shows to be composite is refused
-with ValueError.
+deterministic.  Trial division by the primes below 1000 stops at the first
+prime p with p^2 > m, m what is left; that certifies m prime (or 1) without
+a further test.  Only a cofactor that reaches 997 with 997^2 <= m is left
+to Miller-Rabin, a perfect-square check and Brent's rho.  Primality is
+certified only below _PRIME_BOUND; a cofactor at or above it that no prime
+base below 1000 shows to be composite is refused with ValueError.
 
 Trial division is the expensive step, so it runs once per input and
 nothing is cached between calls.  A product need not be trial divided: its
@@ -130,6 +131,9 @@ def _split(m: int) -> list[int]:
             return [m]
     elif _strong_probable_prime(m, _SMALL_PRIMES):
         raise ValueError(f"cannot certify the factor {m}: primality is certified only below {_PRIME_BOUND}")
+    root = isqrt(m)
+    if root * root == m:  # rho would find the square, then split each equal half again
+        return _split(root) * 2
     d = _rho(m)
     return _split(d) + _split(m // d)
 
@@ -137,16 +141,20 @@ def _split(m: int) -> list[int]:
 def _factor_tuple(n: int) -> tuple[tuple[int, int], ...]:
     out = []
     m = n
+    root = isqrt(m)
     for p in _SMALL_PRIMES:
-        if p * p > m:
-            break
+        if p > root:  # no prime factor of m up to sqrt(m): m is 1 or prime
+            if m > 1:
+                out.append((m, 1))
+            return tuple(out)
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             out.append((p, e))
-    if m > 1:
+            root = isqrt(m)
+    if m > 1:  # every prime below 1000 tried; what is left has no factor below 1000
         big = _split(m)
         out += [(p, big.count(p)) for p in sorted(set(big))]
     return tuple(out)

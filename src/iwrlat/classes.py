@@ -9,12 +9,8 @@ well-rounded lattice in the class, with minimum k*q and determinant k*r*sqrt(D).
 from __future__ import annotations
 
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .arith import _Value, is_squarefree, squarefree_part
-
-if TYPE_CHECKING:  # angle_cos and angle_sin_sq import it where they build one
-    from fractions import Fraction
 
 __all__ = [
     "NotIntegralError",

@@ -23,7 +23,10 @@ a class of r/g, and g | r because D is squarefree, so it is the divisor sum
 of the class counts, one prefix sum along each prime axis of the table.  The
 per-r helpers build the same table for r.  Only count_windowed, whose
 definition it is, and mobius_identity_check, which ties it to the splits,
-list every divisor of r^2 D.
+list every divisor in the window, with the parity test restated: c odd
+lists the divisors of c, 4 | c those of c/4, and c = 2 mod 4 none.
+mobius_identity_check scans only the rows its two identities weigh: r
+itself, and the g | r with mu(r/g) != 0.
 """
 
 from __future__ import annotations
@@ -125,10 +128,10 @@ def _splits(c: int, primes: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, l
 
     us is unsorted, and empty when c has no primitive pair.
     """
+    if c % 2 == 0 and c % 8:
+        return c, []
     powers = [p**e for p, e in zip(primes, x) if e]
     if c % 2 == 0:
-        if c % 8:
-            return c, []
         c //= 4
         powers[0] //= 4  # the power of 2, the smallest prime
     top = isqrt(3 * c)
@@ -149,13 +152,25 @@ def _pairs(c: int, primes: tuple[int, ...], x: tuple[int, ...]) -> list[tuple[in
 
 
 def _window_count(c: int, primes: tuple[int, ...], x: tuple[int, ...]) -> int:
-    """Divisors b of c with c < b^2 <= 3c and c/b of b's parity: the window pairs, no gcd filter."""
+    """Divisors b of c with c < b^2 <= 3c and c/b of b's parity: the window pairs, no gcd filter.
+
+    b and c/b share their parity only when c is odd, or when 4 | c and
+    b = 2b' with b' | c/4, and then c/4 < b'^2 <= 3c/4.  So the count is
+    that of every divisor of n = c or c/4 in n's window, and 0 when
+    c = 2 mod 4.
+    """
+    if c % 4 == 2:
+        return 0
+    if c % 2 == 0:
+        c //= 4
+        x = (x[0] - 2,) + x[1:]  # the exponent of 2, the smallest prime
     top = isqrt(3 * c)
     ds = [1]
     for p, e in zip(primes, x):
-        ds += [d * pk for pk in [p**k for k in range(1, e + 1)] for d in ds if d * pk <= top]
+        if e:
+            ds += [d * pk for pk in [p**k for k in range(1, e + 1)] for d in ds if d * pk <= top]
     low = isqrt(c)
-    return sum(1 for b in ds if b > low and (b + c // b) % 2 == 0)
+    return len([b for b in ds if b > low])
 
 
 def _omega(x: tuple[int, ...]) -> int:
@@ -195,7 +210,12 @@ def count_primitive(r: int, D: int) -> int:
 
 
 def count_windowed(r: int, D: int) -> int:
-    """Divisors of r^2 D in the angle window with matching parity (no gcd filter)."""
+    """Divisors of r^2 D in the angle window with matching parity (no gcd filter).
+
+    Matching parity restated: every divisor of c = r^2 D in its window when
+    c is odd, twice every divisor of c/4 in its window when 4 | c, none when
+    c = 2 mod 4.  Every such divisor is listed, with no unitary-split pruning.
+    """
     primes, (_, c, x) = _r_row(r, D)
     return _window_count(c, primes, x)
 
@@ -206,17 +226,24 @@ def mobius_identity_check(r: int, D: int) -> bool:
     count_windowed(r) = sum over g | r of count_classes(r/g), and back via
     Moebius.  The class counts come from the coprime splits, the windowed
     counts from the scan over every divisor, so the identities tie the two
-    routes together.
+    routes together.  The first identity scans only the row of r; the
+    second scans only the rows g with mu(r/g) != 0, since the others add 0.
     """
     primes, table = _r_table(r, D)
     classes = [len(_splits(c, primes, x)[1]) for _, c, x in table]
-    windowed = [_window_count(c, primes, x) for _, c, x in table]
-    # the exponent of g in g^2 D is e // 2 (D squarefree); r/g sits at top - i when g sits at i
-    mu = [0 if any(e > 3 for e in x) else (-1) ** sum(e // 2 for e in x) for _, _, x in table]
-    top = len(table) - 1
-    if sum(classes) != windowed[top]:
+    _, c_top, x_top = table[-1]
+    w_top = _window_count(c_top, primes, x_top)
+    if sum(classes) != w_top:
         return False
-    return sum(mu[top - i] * w for i, w in enumerate(windowed)) == classes[top]
+    # mu of each row's g, in the table's mixed-radix order: a prime p^a of r
+    # (exponent 2a or 2a + 1 in r^2 D, D squarefree) extends it by -mu and a - 1 blocks of 0
+    mu = [1]
+    for e in x_top:
+        if e > 1:
+            mu += [-m for m in mu] + [0] * (len(mu) * (e // 2 - 1))
+    # r/g sits at top - i when g sits at i; the top row, mu(1) = 1, is w_top
+    inverted = w_top + sum(m * _window_count(c, primes, x) for m, (_, c, x) in zip(reversed(mu), table[:-1]) if m)
+    return inverted == classes[-1]
 
 
 def enumerate_iwr(spec: DeterminantSpec, include_square_class: bool = True) -> list[IwrLattice]:

@@ -8,8 +8,8 @@ rational objective (m^2 + D n^2)/(m n) maximizes the minimum norm.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd, isqrt, sqrt
-from typing import NamedTuple
 
 from .classes import DeterminantSpec, IwrLattice, MnPair, SimilarityClass, class_from_mn, e_exponent
 
@@ -33,9 +33,9 @@ class InadmissibleDeterminantError(ValueError):
     """No integral well-rounded lattice has this determinant."""
 
 
-class OptimizeResult(NamedTuple):
-    lattice: IwrLattice
-    maximizers: list[SimilarityClass]
+# lattice: IwrLattice, maximizers: list[SimilarityClass].  A namedtuple rather
+# than a typing.NamedTuple, so that `import iwrlat` does not load typing.
+OptimizeResult = namedtuple("OptimizeResult", ("lattice", "maximizers"))
 
 
 def admissible_pairs(spec: DeterminantSpec) -> list[MnPair]:

@@ -10,11 +10,15 @@ coprime-split list, a route that shares no step with optimize's (m, n) scan.
 
 enumerate_by_gram_scan lists the lattices of a determinant by scanning the
 reduced Gram matrices themselves; it shares no code with the library.
+
+smallest_prime_factors and factor_by_sieve factor integers from a sieve,
+sharing no step with factorize's trial division, Miller-Rabin and rho.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,6 +58,51 @@ def enumerate_by_gram_scan(M: int, D: int) -> list[tuple[int, int, int, int]]:
             out.append((b // k, M // k, n // k, k))
         n += 1
     return out
+
+
+def smallest_prime_factors(limit: int) -> array:
+    """spf[n], the smallest prime factor of n, for 2 <= n <= limit (spf[0] = 0, spf[1] = 1).
+
+    Striking the multiples of every p from isqrt(limit) down to 2, composites
+    included, from p^2 on leaves each n with the smallest p that divides it
+    and has p^2 <= n: its smallest prime factor.  A prime keeps n itself.
+    """
+    spf = array("l", range(limit + 1))
+    for p in range(math.isqrt(limit), 1, -1):
+        spf[p * p :: p] = array("l", [p]) * len(range(p * p, limit + 1, p))
+    return spf
+
+
+def factor_by_sieve(n: int, spf: array) -> tuple[tuple[int, int], ...]:
+    """The ((prime, exponent), ...) of n >= 1, ascending, read off the sieve spf.
+
+    While n exceeds the sieve, it is trial divided by the sieve's primes; a
+    prime p with p^2 > n, or every prime of the sieve once (limit + 1)^2 > n,
+    proves n prime.  Raises ValueError when the sieve is too short for n.
+    """
+    limit = len(spf) - 1
+    out = []
+    primes = (p for p in range(2, limit + 1) if spf[p] == p)
+    while n > limit:
+        p = next(primes, limit + 1)
+        if p * p > n:
+            p = n
+        elif p > limit:
+            raise ValueError(f"a sieve up to {limit} cannot factor {n}")
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+    while n > 1:
+        p = spf[n]
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

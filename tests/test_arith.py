@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from oracles import factor_by_sieve, smallest_prime_factors
 
 from iwrlat.arith import (
     Factorization,
@@ -54,6 +55,20 @@ def test_full_reconstruction_sweep_to_one_million():
     for n in range(1, 1_000_001):
         f = factorize(n)
         assert _product(f) == n
+
+
+# beyond the sieve: a prime, a square and products at the end of the trial-division
+# primes (997 is the last, 1009 the first prime past them), prime powers above
+# 10^6, and the smallest primes above 2^40 and 10^12
+FACTORIZE_EDGE_CASES = (999_983, 997**2, 997 * 1009, 1009 * 1013, 1_000_003**2, 1_000_003**3, 2**40 + 15, 10**12 + 39)
+
+
+def test_factorize_matches_the_sieve_oracle():
+    spf = smallest_prime_factors(2**20)  # 2^20 = isqrt(2^40 + 15)
+    for n in range(1, 300_001):
+        assert factorize(n).factors == factor_by_sieve(n, spf), n
+    for n in FACTORIZE_EDGE_CASES:
+        assert factorize(n).factors == factor_by_sieve(n, spf), n
 
 
 def test_divisors_examples():

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from math import gcd, isclose, prod, sqrt
+from math import gcd, isclose, isqrt, prod, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +56,52 @@ def test_count_windowed_examples():
     assert count_windowed(24, 5) == 4  # b in {60, 72, 80, 90}
     assert count_windowed(12, 5) == 3  # b in {30, 36, 40}
     assert count_windowed(1, 3) == 1  # b = 3, both odd
+
+
+def _brute_windowed(r, D):
+    # every b up to isqrt(3c), with the parity test as stated
+    c = r * r * D
+    return sum(1 for b in range(1, isqrt(3 * c) + 1) if c % b == 0 and b * b > c and (b + c // b) % 2 == 0)
+
+
+WINDOWED_R = list(range(1, 41)) + [210, 360, 720, 1260, 2310]
+WINDOWED_D = (1, 2, 3, 5, 6, 7, 10, 29)
+
+
+def test_count_windowed_matches_the_parity_test_on_every_b():
+    kinds = set()
+    for D in WINDOWED_D:
+        for r in WINDOWED_R:
+            c = r * r * D
+            kinds.add("c odd" if c % 2 else "c = 2 mod 4" if c % 4 == 2 else "4 || c" if c % 8 else "8 | c")
+            assert count_windowed(r, D) == _brute_windowed(r, D), (r, D)
+    assert kinds == {"c odd", "c = 2 mod 4", "4 || c", "8 | c"}
+
+
+@pytest.mark.parametrize("r, D", [(24, 5), (60, 7), (180, 2), (210, 1)])
+def test_mobius_identity_check_sees_one_wrong_count_on_a_weighed_row(monkeypatch, r, D):
+    real_window, real_splits = enumeration._window_count, enumeration._splits
+
+    def one_pair_too_many(row):
+        return lambda c, *rest: real_window(c, *rest) + (c == row)
+
+    def one_class_dropped(row):
+        def splits(c, *rest):
+            n, us = real_splits(c, *rest)
+            return n, us[1:] if c == row else us
+
+        return splits
+
+    # the rows g whose mu(r/g) is non-zero, each with one count off
+    weighed = [g for g in divisors(r) if mobius(r // g)]
+    faults = [("_window_count", g, one_pair_too_many(g * g * D)) for g in weighed]
+    faults += [("_splits", g, one_class_dropped(g * g * D)) for g in weighed if count_classes(g, D)]
+    assert len(faults) > len(weighed)
+    for name, g, fault in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(enumeration, name, fault)
+            assert not mobius_identity_check(r, D), (name, g)
+    assert mobius_identity_check(r, D)
 
 
 def test_mobius_identity_examples():

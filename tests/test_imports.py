@@ -6,6 +6,7 @@ classes are slotted classes, not dataclasses, so neither `dataclasses` nor
 the `inspect` it imports is loaded.  The dependency guard also reads
 pyproject.toml and every import statement under src/iwrlat.  The surface
 guard keeps the package's __all__ equal to the union of its modules' lists.
+Nor does `import iwrlat` load `typing`: `OptimizeResult` is a plain namedtuple.
 """
 
 import ast
@@ -113,6 +114,30 @@ def test_subcommand_loads_only_the_layers_it_calls(argv, code, layers):
 
 def test_import_iwrlat_loads_neither_dataclasses_nor_inspect():
     assert _probe(None)["stdlib"] == []
+
+
+def test_import_iwrlat_without_site_does_not_load_typing():
+    # without -S, site's .pth files may load typing before iwrlat does
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import iwrlat, sys; print('typing' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_optimize_result_keeps_its_fields_replace_repr_and_pickling():
+    import iwrlat
+
+    result = iwrlat.optimize(iwrlat.DeterminantSpec(24, 5))
+    lattice, maximizers = result
+    assert result._fields == ("lattice", "maximizers")
+    assert (result.lattice, result.maximizers) == (lattice, maximizers)
+    assert repr(result) == f"OptimizeResult(lattice={lattice!r}, maximizers={maximizers!r})"
+    assert result._replace(maximizers=[]) == (lattice, [])
+    assert pickle.loads(pickle.dumps(result)) == result
 
 
 # the zeta layer keeps its dataclasses: callers apply dataclasses.replace to a ZetaResult
