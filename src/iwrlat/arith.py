@@ -8,11 +8,12 @@ to Miller-Rabin, a perfect-square check and Brent's rho.  Primality is
 certified only below _PRIME_BOUND; a cofactor at or above it that no prime
 base below 1000 shows to be composite is refused with ValueError.
 
-Trial division is the expensive step, so it runs once per input and
-nothing is cached between calls.  A product need not be trial divided: its
-Factorization is built by merging exponents (``fa * fb``), and every divisor
-list, tau, omega and Moebius value comes from the exponents of one
-Factorization.
+Trial division is the expensive step, so each caller factors its inputs
+once, and nothing in this module is cached between calls; the one memo is
+enumeration's split table of its latest determinant (`enumeration`).  A
+product is not trial divided again: enumeration reads the exponents of
+r^2 D off those of r and D, and every divisor list, tau, omega and Moebius
+value comes from the exponents of one Factorization.
 
 Factorization and the value classes of `classes` and `enumeration` are
 immutable and slotted, and compared, hashed and shown by their fields, as

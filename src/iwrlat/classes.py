@@ -51,6 +51,16 @@ class SimilarityClass(_Value):
     __slots__ = ("p", "r", "q", "D")
 
     def __init__(self, p: int, r: int, q: int, D: int):
+        self._init(p, r, q, D, check_D=True)
+
+    @classmethod
+    def _of_squarefree_D(cls, p: int, r: int, q: int, D: int) -> SimilarityClass:
+        """The class (p, r, q, D) for a D already known squarefree: every check but that one."""
+        self = object.__new__(cls)
+        self._init(p, r, q, D, check_D=False)
+        return self
+
+    def _init(self, p: int, r: int, q: int, D: int, check_D: bool) -> None:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "q", q)
@@ -61,7 +71,7 @@ class SimilarityClass(_Value):
                 raise NotIntegralError(f"{name} must be an int, got {v!r}")
         if self.p < 0 or self.r < 1 or self.q < 1 or self.D < 1:
             raise ValueError(f"coordinates out of range: {self}")
-        if not is_squarefree(self.D):
+        if check_D and not is_squarefree(self.D):
             raise ValueError(f"D must be squarefree, got {self.D}")
         if self.p * self.p + self.D * self.r * self.r != self.q * self.q:
             raise ValueError(f"p^2 + D r^2 != q^2 for {self}")

@@ -15,18 +15,31 @@ n < u^2 <= 3n, tested exactly on integers.  They are built from the prime
 powers of n and pruned at isqrt(3n): at most 2^omega(c) candidates instead of
 the tau(c) divisors, and gcd(p, q) = 1 holds by construction.
 
-Each call factors M and D once.  One table lists (r, r^2 D, exponents of
-r^2 D) for every r | M in mixed-radix order over the primes of M, read off
-the two factorizations.  The windowed count of r (the window pairs without
-the gcd condition) needs no second scan: a window pair with gcd g is g times
-a class of r/g, and g | r because D is squarefree, so it is the divisor sum
-of the class counts, one prefix sum along each prime axis of the table.  The
-per-r helpers build the same table for r.  Only count_windowed, whose
-definition it is, and mobius_identity_check, which ties it to the splits,
-list every divisor in the window, with the parity test restated: c odd
-lists the divisors of c, 4 | c those of c/4, and c = 2 mod 4 none.
-mobius_identity_check scans only the rows its two identities weigh: r
-itself, and the g | r with mu(r/g) != 0.
+Each call factors M and D once and checks the class budget.  One table
+lists (r, r^2 D, exponents of r^2 D) for every r | M in mixed-radix order
+over the primes of M, read off the two factorizations.  enumerate_iwr and
+count_report share one step, _split_table, which builds the table and runs
+_splits on each row.  It keeps the table and the splits of the latest
+determinant in a one-entry memo keyed by (M, D), so a count_report right
+after an enumerate_iwr of the same determinant, or the other way round,
+reads the class counts instead of splitting every row again.  The memo holds
+one determinant's table, capped by the class budget like the call itself,
+and is replaced whole by one assignment.  Factoring and the budget check
+still run on every call, before the memo is read.  Enumerated classes skip
+only the constructor's re-check that D is squarefree, which DeterminantSpec
+already made.
+
+The windowed count of r (the window pairs without the gcd condition) needs
+no second scan: a window pair with gcd g is g times a class of r/g, and
+g | r because D is squarefree, so it is the divisor sum of the class counts,
+one prefix sum along each prime axis of the table.  The per-r helpers build
+the same table for r, off the memo, and refuse a D that is not squarefree
+as DeterminantSpec does.  Only count_windowed, whose definition it is, and
+mobius_identity_check, which ties it to the splits, list every divisor in
+the window, with the parity test restated: c odd lists the divisors of c,
+4 | c those of c/4, and c = 2 mod 4 none.  mobius_identity_check scans only
+the rows its two identities weigh: r itself, and the g | r with
+mu(r/g) != 0.
 """
 
 from __future__ import annotations
@@ -73,20 +86,24 @@ def _class_bound(fM: Factorization, fD: Factorization) -> Fraction:
     return Fraction(n, 2)
 
 
+def _budgeted_bound(fM: Factorization, fD: Factorization) -> Fraction:
+    """The class bound of M and D; raises ValueError when it exceeds _CLASS_BUDGET."""
+    bound = _class_bound(fM, fD)
+    if bound > _CLASS_BUDGET:
+        raise ValueError(
+            f"the class bound of IWR({fM.value}*sqrt({fD.value})) is {bound}, over the budget of {_CLASS_BUDGET}"
+        )
+    return bound
+
+
 def _divisor_table(fM: Factorization, fD: Factorization) -> tuple[tuple[int, ...], list[Row]]:
     """The primes of M D, and (r, r^2 D, exponents of r^2 D on those primes) for each r | M.
 
     Rows are in mixed-radix order over the primes of M, the first fastest:
     r = prod p_i^a_i sits at index sum a_i s_i, where s_i is the product of
     (e_j + 1) over the primes p_j of M before p_i.  So M is the last row.
-    Raises ValueError, before building a row, when the class bound of M and D
-    exceeds _CLASS_BUDGET.
+    The caller checks the budget (_budgeted_bound) before building it.
     """
-    bound = _class_bound(fM, fD)
-    if bound > _CLASS_BUDGET:
-        raise ValueError(
-            f"the class bound of IWR({fM.value}*sqrt({fD.value})) is {bound}, over the budget of {_CLASS_BUDGET}"
-        )
     eD = dict(fD.factors)
     primes = tuple(sorted(eD.keys() | dict(fM.factors).keys()))
     table = [(1, fD.value, tuple(eD.get(p, 0) for p in primes))]
@@ -115,7 +132,12 @@ def _divisor_sums(counts: list[int], fM: Factorization) -> list[int]:
 def _r_table(r: int, D: int) -> tuple[tuple[int, ...], list[Row]]:
     if r < 1 or D < 1:
         raise ValueError("r and D must be positive")
-    return _divisor_table(factorize(r), factorize(D))
+    fr, fD = factorize(r), factorize(D)
+    # the window count and the unitary splits both need D squarefree
+    if not fD.mobius():
+        raise ValueError(f"D must be squarefree >= 1, got {D}")
+    _budgeted_bound(fr, fD)
+    return _divisor_table(fr, fD)
 
 
 def _r_row(r: int, D: int) -> tuple[tuple[int, ...], Row]:
@@ -142,13 +164,42 @@ def _splits(c: int, primes: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, l
     return c, [u for u in us if u > low]
 
 
+def _classes(c: int, n: int, us: list[int]) -> list[tuple[int, int]]:
+    """The (p, q) of q^2 - p^2 = c split by each u of us, the unitary divisors of n from _splits."""
+    if n == c:
+        return [((u - n // u) // 2, (u + n // u) // 2) for u in us]
+    return [(u - n // u, u + n // u) for u in us]
+
+
 def _pairs(c: int, primes: tuple[int, ...], x: tuple[int, ...]) -> list[tuple[int, int]]:
     """The classes (p, q) of q^2 - p^2 = c in the angle window, ascending in q."""
     n, us = _splits(c, primes, x)
     us.sort()
-    if n == c:
-        return [((u - n // u) // 2, (u + n // u) // 2) for u in us]
-    return [(u - n // u, u + n // u) for u in us]
+    return _classes(c, n, us)
+
+
+# The split table of the latest determinant: ((M, D), bound, table, splits),
+# replaced whole by one assignment, so a thread reads an old or a new entry,
+# never half of one.
+_last_split_table = None
+
+
+def _split_table(fM: Factorization, fD: Factorization) -> tuple[Fraction, list[Row], list[tuple[int, list[int]]]]:
+    """The class bound, the divisor table of M and D, and each row's (n, us) from _splits.
+
+    The budget is checked on every call, before the memo of the latest
+    determinant is read; the lists returned are shared with it, read only.
+    """
+    global _last_split_table
+    bound = _budgeted_bound(fM, fD)
+    key = (fM.value, fD.value)
+    last = _last_split_table
+    if last is not None and last[0] == key:
+        return last[1:]
+    primes, table = _divisor_table(fM, fD)
+    splits = [_splits(c, primes, x) for _, c, x in table]
+    _last_split_table = (key, bound, table, splits)
+    return bound, table, splits
 
 
 def _window_count(c: int, primes: tuple[int, ...], x: tuple[int, ...]) -> int:
@@ -174,7 +225,7 @@ def _window_count(c: int, primes: tuple[int, ...], x: tuple[int, ...]) -> int:
 
 
 def _omega(x: tuple[int, ...]) -> int:
-    return sum(1 for e in x if e)
+    return len(x) - x.count(0)
 
 
 def _primitive(c: int, x: tuple[int, ...]) -> int:
@@ -254,14 +305,15 @@ def enumerate_iwr(spec: DeterminantSpec, include_square_class: bool = True) -> l
     and only when include_square_class is set.
     """
     M, D = spec.M, spec.D
-    primes, table = _divisor_table(factorize(M), factorize(D))
+    _, table, splits = _split_table(factorize(M), factorize(D))
+    make = SimilarityClass._of_squarefree_D  # spec's D is squarefree
     found = []
-    for r, c, x in table:
+    for (r, c, _), (n, us) in zip(table, splits):
         k = M // r
         if c == 1 and include_square_class:
-            found.append(IwrLattice(SimilarityClass(0, 1, 1, 1), k))
-        for p, q in _pairs(c, primes, x):
-            found.append(IwrLattice(SimilarityClass(p, r, q, D), k))
+            found.append(IwrLattice(make(0, 1, 1, 1), k))
+        for p, q in _classes(c, n, us):
+            found.append(IwrLattice(make(p, r, q, D), k))
     found.sort(key=lambda lat: (lat.minimum, lat.cls.q, lat.cls.p))
     return found
 
@@ -317,8 +369,8 @@ class CountReport(_Value):
 
 def count_report(spec: DeterminantSpec) -> CountReport:
     fM, fD = factorize(spec.M), factorize(spec.D)
-    primes, table = _divisor_table(fM, fD)
-    classes = [len(_splits(c, primes, x)[1]) for _, c, x in table]
+    bound, table, splits = _split_table(fM, fD)
+    classes = [len(us) for _, us in splits]
     windowed = _divisor_sums(classes, fM)
     rows = sorted((r, n, _primitive(c, x), w) for (r, c, x), n, w in zip(table, classes, windowed))
     top = table[-1][2]  # exponents of M^2 D
@@ -328,6 +380,6 @@ def count_report(spec: DeterminantSpec) -> CountReport:
         rows=tuple(rows),
         total=sum(classes),
         square_classes=1 if spec.D == 1 else 0,
-        bound=_class_bound(fM, fD),
+        bound=bound,
         diagnostic=prod(e + 1 for e in top) / sqrt(w_top) if w_top else 0.0,
     )

@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 from fractions import Fraction
 from math import gcd, isclose, isqrt, prod, sqrt
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import enumerate_by_gram_scan
 
-from iwrlat import enumeration
+from iwrlat import classes, enumeration
 from iwrlat.arith import divisors, is_squarefree, mobius, omega, tau
 from iwrlat.classes import DeterminantSpec, IwrLattice, SimilarityClass, classify_gram
 from iwrlat.enumeration import (
@@ -345,3 +346,148 @@ def test_enumeration_matches_independent_routes(M, D):
     for r, n_classes, _, n_windowed in count_report(spec).rows:
         assert n_windowed == count_windowed(r, D)
         assert n_classes == per_r[r]
+
+
+# --- the per-r helpers take the window argument's squarefree D only ------------
+
+PER_R_HELPERS = (solutions_for_r, count_classes, count_primitive, count_windowed, mobius_identity_check)
+
+
+@pytest.mark.parametrize("helper", PER_R_HELPERS)
+@pytest.mark.parametrize("r, D", [(6, 8), (5, 12), (1, 9), (24, 4), (1, 50)])
+def test_per_r_helpers_refuse_a_non_squarefree_D(helper, r, D):
+    with pytest.raises(ValueError) as spec_error:
+        DeterminantSpec(r, D)
+    with pytest.raises(ValueError) as info:
+        helper(r, D)
+    assert str(info.value) == str(spec_error.value) == f"D must be squarefree >= 1, got {D}"
+
+
+# --- enumeration builds its classes without re-checking D ---------------------
+
+
+@pytest.mark.parametrize("D", EQUIVALENCE_D)
+def test_enumerated_lattices_match_the_public_constructor(D):
+    for M in range(1, 301):
+        for lat in enumerate_iwr(DeterminantSpec(M, D)):
+            c = lat.cls
+            public = IwrLattice(SimilarityClass(c.p, c.r, c.q, c.D), lat.k)
+            assert type(c) is SimilarityClass
+            assert c == public.cls and hash(c) == hash(public.cls)
+            assert lat == public and hash(lat) == hash(public)
+            assert pickle.dumps(lat) == pickle.dumps(public)
+            assert pickle.loads(pickle.dumps(lat)) == public
+
+
+def test_enumeration_skips_only_the_squarefree_check(monkeypatch):
+    def never(n):
+        raise AssertionError(f"is_squarefree({n}) called")
+
+    spec = DeterminantSpec(27720, 5)
+    with monkeypatch.context() as patch:
+        patch.setattr(classes, "is_squarefree", never)
+        lattices = enumerate_iwr(spec)
+    assert lattices == enumerate_iwr_via_mn(spec)
+    # every other check of the constructor still runs on the private path
+    make = SimilarityClass._of_squarefree_D
+    for args, message in (
+        ((1, 1, 2, True), "D must be an int, got True"),
+        ((1, 0, 2, 3), "coordinates out of range: SimilarityClass(p=1, r=0, q=2, D=3)"),
+        ((1, 1, 3, 3), "p^2 + D r^2 != q^2 for SimilarityClass(p=1, r=1, q=3, D=3)"),
+        ((2, 4, 6, 2), "gcd(p, q) != 1 for SimilarityClass(p=2, r=4, q=6, D=2)"),
+        ((7, 4, 9, 2), "2p > q for SimilarityClass(p=7, r=4, q=9, D=2) (angle outside [pi/3, pi/2])"),
+    ):
+        for build in (make, SimilarityClass):
+            with pytest.raises(ValueError) as info:
+                build(*args)
+            assert str(info.value) == message
+
+
+# --- one split table per determinant ------------------------------------------
+
+
+def _count_splits(monkeypatch):
+    calls = []
+    real = enumeration._splits
+
+    def counting(c, primes, x):
+        calls.append(c)
+        return real(c, primes, x)
+
+    monkeypatch.setattr(enumeration, "_splits", counting)
+    monkeypatch.setattr(enumeration, "_last_split_table", None)
+    return calls
+
+
+@pytest.mark.parametrize("M, D", [(720720, 1), (126360, 5), (6078, 29), (1, 1)])
+def test_count_report_after_enumerate_splits_each_row_once(monkeypatch, M, D):
+    calls = _count_splits(monkeypatch)
+    spec = DeterminantSpec(M, D)
+    lattices = enumerate_iwr(spec)
+    report = count_report(spec)
+    assert sorted(calls) == sorted(r * r * D for r in divisors(M))
+    assert report.total + report.square_classes == len(lattices)
+    # the per-r helpers and the identity check stay a fresh second route
+    calls.clear()
+    assert mobius_identity_check(M, D)
+    assert count_classes(M, D) == report.rows[-1][1]
+    assert calls
+
+
+def _fresh(monkeypatch, call, spec, **kwargs):
+    monkeypatch.setattr(enumeration, "_last_split_table", None)
+    return call(spec, **kwargs)
+
+
+def test_interleaved_calls_match_a_fresh_computation_and_the_mn_oracle(monkeypatch):
+    A, B = DeterminantSpec(27720, 1), DeterminantSpec(4620, 7)
+    bare = {"include_square_class": False}
+    plan = [
+        (enumerate_iwr, A, {}),
+        (count_report, A, {}),
+        (count_report, B, {}),
+        (enumerate_iwr, B, bare),
+        (enumerate_iwr, A, bare),
+        (enumerate_iwr, B, {}),
+        (count_report, A, {}),
+        (enumerate_iwr, A, {}),
+    ]
+    answers = [call(spec, **kwargs) for call, spec, kwargs in plan]
+    for (call, spec, kwargs), answer in zip(plan, answers):
+        assert answer == _fresh(monkeypatch, call, spec, **kwargs)
+        if call is enumerate_iwr:
+            via = enumerate_iwr_via_mn(spec)
+            assert answer == (via if not kwargs else [lat for lat in via if lat.cls.p > 0])
+        else:
+            assert answer.total + answer.square_classes == len(enumerate_iwr_via_mn(spec))
+
+
+@pytest.mark.parametrize("D", (1, 2, 3, 5, 6, 7))
+def test_memo_answers_like_the_mn_oracle(D):
+    for M in range(1, 400):
+        spec = DeterminantSpec(M, D)
+        report = count_report(spec)  # count before enumerate
+        lattices = enumerate_iwr(spec)
+        bare = enumerate_iwr(spec, include_square_class=False)
+        assert lattices == enumerate_iwr_via_mn(spec)
+        assert [lat for lat in lattices if lat.cls.p > 0] == bare
+        assert report.total == len(bare) and report.total + report.square_classes == len(lattices)
+
+
+def test_budget_is_checked_before_the_memo(monkeypatch):
+    calls = _count_splits(monkeypatch)
+    within = DeterminantSpec(720720, 1)
+    enumerate_iwr(within)
+    calls.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_CLASS_BUDGET", 1)
+        for call in (enumerate_iwr, count_report):
+            with pytest.raises(ValueError, match="over the budget of 1$"):
+                call(within)
+    over = DeterminantSpec(3 * ODD_PRIMES_TO_43, 1)
+    for call in (enumerate_iwr, count_report):
+        enumerate_iwr(within)
+        calls.clear()
+        with pytest.raises(ValueError, match="is 2657205/2, over the budget of 1048576"):
+            call(over)
+        assert not calls
