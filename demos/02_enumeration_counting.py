@@ -16,13 +16,13 @@ from iwrlat import (
     count_primitive,
     count_report,
     count_windowed,
-    divisors,
     enumerate_iwr,
     enumerate_iwr_via_mn,
     solutions_for_r,
 )
 
 spec = DeterminantSpec(24, 5)
+DIVISORS_24 = [d for d in range(1, 25) if 24 % d == 0]
 print(f"All lattices with determinant {spec.M}*sqrt({spec.D}):")
 for lat in enumerate_iwr(spec):
     c = lat.cls
@@ -39,7 +39,7 @@ print(f"  enumerate_iwr_via_mn(24, 5) == enumerate_iwr(24, 5): {same}")
 print()
 print("Per-divisor counts for M = 24, D = 5.  f counts classes, f1 drops the")
 print("angle window, f2 drops the gcd condition; f <= min(f1, f2) always:")
-for r in divisors(24):
+for r in DIVISORS_24:
     f, f1, f2 = count_classes(r, 5), count_primitive(r, 5), count_windowed(r, 5)
     witnesses = solutions_for_r(r, 5)
     print(f"  r = {r:2d}: f = {f}  f1 = {f1}  f2 = {f2}  witnesses {witnesses}")
@@ -59,5 +59,5 @@ print()
 print("The counts interlock through divisor sums (Mobius-invertible):")
 r, D = 24, 5
 lhs = count_windowed(r, D)
-rhs = sum(count_classes(r // g, D) for g in divisors(r))
+rhs = sum(count_classes(r // g, D) for g in DIVISORS_24)
 print(f"  f2({r}) = {lhs} = sum of f({r}/g) over g | {r} = {rhs}")

@@ -22,8 +22,9 @@ of 21 alternating runs without a bytecode cache (2 cores, Python 3.11.7),
 frozen dataclasses -> slotted classes: `-X importtime` of `import iwrlat`
 26.0 -> 10.8 ms; `python -m iwrlat <subcommand>` wall time, mean over the 8
 subcommands, 112.9 -> 95.4 ms.  Enumeration refuses a determinant whose class
-bound exceeds 2^20, and `optimize` one whose (m, n) scan may exceed 2^30
-steps, with ValueError, before doing the work.
+bound exceeds 2^20, and the (m, n) route of `optimize` and
+`enumerate_iwr_via_mn` one whose scan may exceed 2^30 steps, with
+ValueError, before doing the work.
 """
 
 from importlib import import_module
@@ -34,10 +35,7 @@ __version__ = "0.1.0"
 
 # public names by layer, in the order of __all__
 _LAYERS = {
-    "arith": (
-        "Factorization", "divisors", "factorize", "is_prime", "is_squarefree", "mobius", "omega",
-        "squarefree_part", "tau",
-    ),
+    "arith": ("Factorization", "factorize", "is_prime", "is_squarefree", "squarefree_part"),
     "classes": (
         "DeterminantSpec", "GramMatrix", "IwrLattice", "MnPair", "NotIntegralError",
         "NotPositiveDefiniteError", "NotWellRoundedError", "SimilarityClass", "angle_cos",
@@ -46,9 +44,12 @@ _LAYERS = {
     "conic": ("MismatchedTypeError", "class_to_point", "compose", "pell_add"),
     "enumeration": (
         "CountReport", "count_classes", "count_primitive", "count_report", "count_windowed",
-        "enumerate_iwr", "enumerate_iwr_via_mn", "mobius_identity_check", "solutions_for_r",
+        "enumerate_iwr", "mobius_identity_check", "solutions_for_r",
     ),
-    "optimize": ("InadmissibleDeterminantError", "OptimizeResult", "admissible_pairs", "optimize", "trivial_bound"),
+    "optimize": (
+        "InadmissibleDeterminantError", "OptimizeResult", "admissible_pairs", "enumerate_iwr_via_mn", "optimize",
+        "trivial_bound",
+    ),
     "zeta": (
         "MonotonicityReport", "ZetaResult", "epstein_bounds", "epstein_zeta", "monotonicity_check",
         "packing_density", "snr",

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: factorization and multiplicative functions.
+"""Exact integer arithmetic: factorization, primality and squarefree tests.
 
 Everything here works on plain Python ints (arbitrary precision) and is
 deterministic.  Trial division by the primes below 1000 stops at the first
@@ -12,8 +12,8 @@ Trial division is the expensive step, so each caller factors its inputs
 once, and nothing in this module is cached between calls; the one memo is
 enumeration's split table of its latest determinant (`enumeration`).  A
 product is not trial divided again: enumeration reads the exponents of
-r^2 D off those of r and D, and every divisor list, tau, omega and Moebius
-value comes from the exponents of one Factorization.
+r^2 D off those of r and D, and builds its divisors, splits and counts from
+those exponents.
 
 Factorization and the value classes of `classes` and `enumeration` are
 immutable and slotted, and compared, hashed and shown by their fields, as
@@ -35,12 +35,8 @@ from operator import attrgetter
 __all__ = [
     "Factorization",
     "factorize",
-    "divisors",
     "squarefree_part",
     "is_squarefree",
-    "mobius",
-    "omega",
-    "tau",
     "is_prime",
 ]
 
@@ -210,11 +206,7 @@ class _Value:
 
 
 class Factorization(_Value):
-    """Prime factorization of a positive integer, exponents sorted by prime.
-
-    Products, divisors and the multiplicative functions are all computed
-    from the exponents; none of them factors anything again.
-    """
+    """Prime factorization of a positive integer: value and its (prime, exponent) pairs, ascending."""
 
     __slots__ = ("value", "factors")
 
@@ -222,50 +214,12 @@ class Factorization(_Value):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "factors", factors)
 
-    def __mul__(self, other: Factorization) -> Factorization:
-        """Factorization of the product, exponents merged."""
-        exps = dict(self.factors)
-        for p, e in other.factors:
-            exps[p] = exps.get(p, 0) + e
-        return Factorization(self.value * other.value, tuple(sorted(exps.items())))
-
-    def divisors(self) -> list[int]:
-        """All positive divisors, ascending."""
-        ds = [1]
-        for p, e in self.factors:
-            powers = [p**k for k in range(e + 1)]
-            ds = [d * pk for d in ds for pk in powers]
-        ds.sort()
-        return ds
-
-    def omega(self) -> int:
-        """Number of distinct prime divisors."""
-        return len(self.factors)
-
-    def tau(self) -> int:
-        """Number of positive divisors."""
-        t = 1
-        for _, e in self.factors:
-            t *= e + 1
-        return t
-
-    def mobius(self) -> int:
-        """0 when a square divides the value, else (-1)**omega."""
-        if any(e > 1 for _, e in self.factors):
-            return 0
-        return -1 if len(self.factors) % 2 else 1
-
 
 def factorize(n: int) -> Factorization:
     """Full prime factorization of n >= 1.  factorize(1) has no factors."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     return Factorization(n, _factor_tuple(n))
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    return factorize(n).divisors()
 
 
 def squarefree_part(n: int) -> tuple[int, int]:
@@ -280,18 +234,3 @@ def squarefree_part(n: int) -> tuple[int, int]:
 
 def is_squarefree(n: int) -> bool:
     return n >= 1 and all(e == 1 for _, e in factorize(n).factors)
-
-
-def mobius(n: int) -> int:
-    """Moebius function: 0 on non-squarefree n, else (-1)**omega(n)."""
-    return factorize(n).mobius()
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime divisors (omega(1) = 0)."""
-    return factorize(n).omega()
-
-
-def tau(n: int) -> int:
-    """Number of positive divisors."""
-    return factorize(n).tau()

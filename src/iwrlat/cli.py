@@ -54,7 +54,7 @@ def _lattice_record(lat: IwrLattice, density: bool = False, snr_eps: float | Non
         "D": c.D,
         "k": lat.k,
         "min_norm": lat.minimum,
-        "det": {"M": lat.determinant.M, "D": lat.determinant.D},
+        "det": {"M": lat.k * c.r, "D": c.D},  # lat.determinant, without re-validating D
         "cos_theta": f"{c.p}/{c.q}",
         "gram": lat.gram().rows(),
     }

@@ -1,9 +1,13 @@
-"""Maximize the minimum norm (equivalently packing density) over IWR(M*sqrt(D)).
+"""The (m, n) route through IWR(M*sqrt(D)), and the lattice of maximal minimum norm on it.
 
-The search space is the finite set of coprime pairs (m, n) inside the angle
-band whose generated r divides M; the minimum of the generated lattice is
-M*q/r = M*(m^2 + D n^2)/(2mn) * (normalizer cancels), so maximizing the exact
-rational objective (m^2 + D n^2)/(m n) maximizes the minimum norm.
+The route scans the finite set of coprime pairs (m, n) inside the angle band
+whose generated r divides M (admissible_pairs), and keeps one class per
+triple.  enumerate_iwr_via_mn lists those classes as lattices, an independent
+check on enumeration's coprime splits; optimize takes their argmax.  The
+minimum of the generated lattice is M*q/r = M*(m^2 + D n^2)/(2mn)
+(normalizer cancels), so maximizing the exact rational objective
+(m^2 + D n^2)/(m n) maximizes the minimum norm, equivalently the packing
+density.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ __all__ = [
     "InadmissibleDeterminantError",
     "OptimizeResult",
     "admissible_pairs",
+    "enumerate_iwr_via_mn",
     "optimize",
     "trivial_bound",
 ]
@@ -71,6 +76,26 @@ def admissible_pairs(spec: DeterminantSpec) -> list[MnPair]:
     return pairs
 
 
+def _mn_classes(spec: DeterminantSpec) -> list[SimilarityClass]:
+    """The classes the admissible pairs generate, one per triple, in the order of their first pair."""
+    classes: dict[tuple[int, int, int], SimilarityClass] = {}
+    for pair in admissible_pairs(spec):
+        cls = class_from_mn(pair)
+        classes.setdefault(cls.triple(), cls)
+    return list(classes.values())
+
+
+def enumerate_iwr_via_mn(spec: DeterminantSpec) -> list[IwrLattice]:
+    """Same list as enumerate_iwr, generated from coprime (m, n) pairs.
+
+    Independent route: admissible pairs -> classes -> dedup; used to
+    cross-check enumeration's coprime splits.
+    """
+    out = [IwrLattice(cls, spec.M // cls.r) for cls in _mn_classes(spec)]
+    out.sort(key=lambda lat: (lat.minimum, lat.cls.q, lat.cls.p))
+    return out
+
+
 def optimize(spec: DeterminantSpec) -> OptimizeResult:
     """Lattice of maximal minimum norm with determinant M*sqrt(D).
 
@@ -79,15 +104,14 @@ def optimize(spec: DeterminantSpec) -> OptimizeResult:
     be reported in maximizers, with the lattice taken from the
     lexicographically smallest (q, p).
     """
-    classes: dict[tuple[int, int, int], SimilarityClass] = {}
-    for pair in admissible_pairs(spec):
-        cls = class_from_mn(pair)
-        classes.setdefault(cls.triple(), cls)
+    # the private scan, not enumerate_iwr_via_mn, so that a tracer wrapping the
+    # public functions sees class_from_mn called under optimize itself
+    classes = _mn_classes(spec)
     if not classes:
         raise InadmissibleDeterminantError(f"IWR({spec.M}*sqrt({spec.D})) is empty")
-    best = max((spec.M // c.r) * c.q for c in classes.values())
+    best = max((spec.M // c.r) * c.q for c in classes)
     maximizers = sorted(
-        (c for c in classes.values() if (spec.M // c.r) * c.q == best),
+        (c for c in classes if (spec.M // c.r) * c.q == best),
         key=lambda c: (c.q, c.p),
     )
     lat = IwrLattice(maximizers[0], spec.M // maximizers[0].r)

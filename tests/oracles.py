@@ -13,10 +13,15 @@ reduced Gram matrices themselves; it shares no code with the library.
 
 smallest_prime_factors and factor_by_sieve factor integers from a sieve,
 sharing no step with factorize's trial division, Miller-Rabin and rho.
+
+divisors, mobius, omega and tau are the textbook functions of n, read off a
+plain trial division by 2 and every odd d with d^2 <= n; they share no code
+with iwrlat.arith.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -103,6 +108,52 @@ def factor_by_sieve(n: int, spf: array) -> tuple[tuple[int, int], ...]:
             e += 1
         out.append((p, e))
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _trial_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """The ((prime, exponent), ...) of n >= 1, ascending, by trial division."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending."""
+    ds = [1]
+    for p, e in _trial_factors(n):
+        ds = [d * p**k for d in ds for k in range(e + 1)]
+    return sorted(ds)
+
+
+def omega(n: int) -> int:
+    """Number of distinct prime divisors (omega(1) = 0)."""
+    return len(_trial_factors(n))
+
+
+def tau(n: int) -> int:
+    """Number of positive divisors."""
+    return math.prod(e + 1 for _, e in _trial_factors(n))
+
+
+def mobius(n: int) -> int:
+    """0 when a square > 1 divides n, else (-1)**omega(n)."""
+    factors = _trial_factors(n)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return (-1) ** len(factors)
 
 
 @dataclass(frozen=True)

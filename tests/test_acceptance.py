@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from oracles import enumerate_by_gram_scan, optimize_by_enumeration
+from oracles import divisors, enumerate_by_gram_scan, mobius, optimize_by_enumeration
 
 from iwrlat import (
     DeterminantSpec,
@@ -28,13 +28,11 @@ from iwrlat import (
     count_primitive,
     count_report,
     count_windowed,
-    divisors,
     enumerate_iwr,
     enumerate_iwr_via_mn,
     epstein_bounds,
     epstein_zeta,
     is_squarefree,
-    mobius,
     monotonicity_check,
     optimize,
 )

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from iwrlat import DeterminantSpec, IwrLattice, SimilarityClass, enumerate_iwr, snr
-from iwrlat.cli import run
+from iwrlat import DeterminantSpec, IwrLattice, SimilarityClass, classes, enumerate_iwr, snr
+from iwrlat.cli import _lattice_record, run
 
 GOLDEN = Path(__file__).parent / "data" / "table1_golden.json"
 
@@ -152,6 +152,16 @@ class TestEnumerateCommand:
             assert lat.gram().rows() == rec["gram"]
             rebuilt.append(lat)
         assert rebuilt == enumerate_iwr(DeterminantSpec(24, 5))
+
+    def test_records_do_not_check_D_again(self, monkeypatch):
+        # lat.determinant builds a DeterminantSpec, which factors D again to test it squarefree
+        lattices = enumerate_iwr(DeterminantSpec(720720, 29))
+        calls = []
+        real = classes.is_squarefree
+        monkeypatch.setattr(classes, "is_squarefree", lambda n: calls.append(n) or real(n))
+        records = [_lattice_record(lat) for lat in lattices]
+        assert (len(records), len(calls)) == (271, 0)
+        assert [rec["det"] for rec in records] == [{"M": 720720, "D": 29}] * 271
 
     def test_csv_output(self, capsys):
         code = run(["enumerate", "--M", "24", "--D", "5", "--format", "csv", "--density"])

@@ -6,10 +6,10 @@ from math import gcd, isclose, isqrt, prod, sqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import enumerate_by_gram_scan
+from oracles import divisors, enumerate_by_gram_scan, mobius, omega, tau
 
 from iwrlat import classes, enumeration
-from iwrlat.arith import divisors, is_squarefree, mobius, omega, tau
+from iwrlat.arith import is_squarefree
 from iwrlat.classes import DeterminantSpec, IwrLattice, SimilarityClass, classify_gram
 from iwrlat.enumeration import (
     count_classes,
@@ -17,10 +17,10 @@ from iwrlat.enumeration import (
     count_report,
     count_windowed,
     enumerate_iwr,
-    enumerate_iwr_via_mn,
     mobius_identity_check,
     solutions_for_r,
 )
+from iwrlat.optimize import enumerate_iwr_via_mn
 
 
 def test_solutions_for_r_examples():

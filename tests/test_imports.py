@@ -112,6 +112,12 @@ def test_subcommand_loads_only_the_layers_it_calls(argv, code, layers):
     assert _probe(argv)["modules"] == _loaded("cli", *layers)
 
 
+def test_the_mn_route_loads_no_further_layer():
+    # enumerate_iwr_via_mn lives in optimize, next to the scan it lists
+    stmt = "iwrlat.enumerate_iwr_via_mn(iwrlat.DeterminantSpec(24, 5))"
+    assert _probe(stmt)["modules"] == _loaded()
+
+
 def test_import_iwrlat_loads_neither_dataclasses_nor_inspect():
     assert _probe(None)["stdlib"] == []
 

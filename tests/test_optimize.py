@@ -5,8 +5,13 @@ from oracles import optimize_by_enumeration
 
 from iwrlat.arith import is_squarefree
 from iwrlat.classes import DeterminantSpec, MnPair, class_from_mn
-from iwrlat.enumeration import enumerate_iwr_via_mn
-from iwrlat.optimize import InadmissibleDeterminantError, admissible_pairs, optimize, trivial_bound
+from iwrlat.optimize import (
+    InadmissibleDeterminantError,
+    admissible_pairs,
+    enumerate_iwr_via_mn,
+    optimize,
+    trivial_bound,
+)
 
 
 def _bound_squared(spec):
@@ -115,6 +120,7 @@ def test_optimize_matches_bruteforce_on_grid():
                 continue
             brute = optimize_by_enumeration(spec)
             assert (fast.lattice.cls, fast.lattice.k) == (brute.lattice.cls, brute.lattice.k)
+            assert fast.maximizers == brute.maximizers
 
 
 def test_trivial_bound():
