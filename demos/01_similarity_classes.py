@@ -14,11 +14,8 @@ from iwrlat import (
     IwrLattice,
     MnPair,
     SimilarityClass,
-    angle_cos,
-    angle_sin_sq,
     class_from_mn,
     classify_gram,
-    gauss_reduce,
 )
 
 hexagonal = SimilarityClass(1, 1, 2, 3)
@@ -28,7 +25,7 @@ print("The two extreme shapes:")
 for name, cls in [("hexagonal", hexagonal), ("square", square)]:
     print(
         f"  {name:10s} (p,r,q,D) = {(cls.p, cls.r, cls.q, cls.D)}"
-        f"  cos = {angle_cos(cls)}  sin^2 = {angle_sin_sq(cls)}"
+        f"  cos = {Fraction(cls.p, cls.q)}  sin^2 = {Fraction(cls.r * cls.r * cls.D, cls.q * cls.q)}"
     )
 
 print()
@@ -53,11 +50,11 @@ print()
 print("Classification works backwards from any integral Gram matrix, reducing")
 print("it first so the shortest vectors are the basis:")
 messy = GramMatrix(61, 90, 180)
-reduced, transform = gauss_reduce(messy)
-print(f"  {messy.rows()}  reduces to  {reduced.rows()}  via  {transform}")
 cls, k = classify_gram(messy)
+reduced = IwrLattice(cls, k).gram()  # a reduced well-rounded form is k [[q, p], [p, q]]
+print(f"  {messy.rows()}  reduces to  {reduced.rows()}")
 print(f"  class {cls.triple()} of type {cls.D}, scale k = {k}")
-print(f"  round trip: IwrLattice(cls, k).gram() -> {IwrLattice(cls, k).gram().rows()}")
+print(f"  round trip: IwrLattice(cls, k).gram() -> {reduced.rows()}")
 
 print()
 print("Non-well-rounded input is rejected rather than coerced:")

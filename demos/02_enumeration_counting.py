@@ -10,21 +10,12 @@ r^2 D, and counting becomes multiplicative number theory: dropping the gcd
 condition gives the windowed count, the divisor sum of the class counts.
 """
 
-from iwrlat import (
-    DeterminantSpec,
-    count_classes,
-    count_primitive,
-    count_report,
-    count_windowed,
-    enumerate_iwr,
-    enumerate_iwr_via_mn,
-    solutions_for_r,
-)
+from iwrlat import DeterminantSpec, count_report, enumerate_iwr, enumerate_iwr_via_mn
 
 spec = DeterminantSpec(24, 5)
-DIVISORS_24 = [d for d in range(1, 25) if 24 % d == 0]
+lattices = enumerate_iwr(spec)
 print(f"All lattices with determinant {spec.M}*sqrt({spec.D}):")
-for lat in enumerate_iwr(spec):
+for lat in lattices:
     c = lat.cls
     print(
         f"  k = {lat.k:2d}  class {str(c.triple()):>14s}  minimum {lat.minimum}"
@@ -33,19 +24,18 @@ for lat in enumerate_iwr(spec):
 
 print()
 print("An independent generator-pair sweep lands on the same set:")
-same = enumerate_iwr_via_mn(spec) == enumerate_iwr(spec)
+same = enumerate_iwr_via_mn(spec) == lattices
 print(f"  enumerate_iwr_via_mn(24, 5) == enumerate_iwr(24, 5): {same}")
 
 print()
 print("Per-divisor counts for M = 24, D = 5.  f counts classes, f1 drops the")
 print("angle window, f2 drops the gcd condition; f <= min(f1, f2) always:")
-for r in DIVISORS_24:
-    f, f1, f2 = count_classes(r, 5), count_primitive(r, 5), count_windowed(r, 5)
-    witnesses = solutions_for_r(r, 5)
+rep = count_report(spec)
+for r, f, f1, f2 in rep.rows:
+    witnesses = [(lat.cls.p, lat.cls.q) for lat in lattices if lat.cls.r == r]
     print(f"  r = {r:2d}: f = {f}  f1 = {f1}  f2 = {f2}  witnesses {witnesses}")
 
 print()
-rep = count_report(spec)
 print(f"Report for {spec.M}*sqrt({spec.D}): total {rep.total} classes,")
 print(f"  divisor bound {rep.bound} (never exceeded for D > 1),")
 print(f"  size diagnostic {rep.diagnostic:.3f} (reported, not asserted).")
@@ -57,7 +47,7 @@ print(f"  count_report(1, 2).bound = {count_report(DeterminantSpec(1, 2)).bound}
 
 print()
 print("The counts interlock through divisor sums (Mobius-invertible):")
-r, D = 24, 5
-lhs = count_windowed(r, D)
-rhs = sum(count_classes(r // g, D) for g in DIVISORS_24)
+r = spec.M
+lhs = rep.rows[-1][3]  # the rows ascend in r, so r = M is the last
+rhs = sum(f for _, f, _, _ in rep.rows)  # r/g runs over the divisors of r as g does
 print(f"  f2({r}) = {lhs} = sum of f({r}/g) over g | {r} = {rhs}")

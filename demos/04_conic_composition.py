@@ -8,7 +8,13 @@ composition on classes of the same type D, written here as compose().
 
 from fractions import Fraction
 
-from iwrlat import SimilarityClass, class_to_point, compose, pell_add
+from iwrlat import SimilarityClass, compose
+
+
+def pell_add(pt1, pt2, D):
+    (x1, y1), (x2, y2) = pt1, pt2
+    return (x1 * x2 + D * y1 * y2, x1 * y2 + x2 * y1)
+
 
 print("The conic group law for D = 3, starting from the fundamental point:")
 pt = (Fraction(2), Fraction(1))
@@ -19,7 +25,7 @@ for i in range(1, 4):
 
 print()
 hexagonal = SimilarityClass(1, 1, 2, 3)
-x, y = class_to_point(hexagonal)
+x, y = Fraction(hexagonal.q, hexagonal.p), Fraction(hexagonal.r, hexagonal.p)
 print(f"A class maps to the point (q/p, r/p): {hexagonal.triple()} -> ({x}, {y})")
 
 print()

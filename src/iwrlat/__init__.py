@@ -38,17 +38,13 @@ _LAYERS = {
     "arith": ("Factorization", "factorize", "is_prime", "is_squarefree", "squarefree_part"),
     "classes": (
         "DeterminantSpec", "GramMatrix", "IwrLattice", "MnPair", "NotIntegralError",
-        "NotPositiveDefiniteError", "NotWellRoundedError", "SimilarityClass", "angle_cos",
-        "angle_sin_sq", "class_from_mn", "classify_gram", "e_exponent", "gauss_reduce",
+        "NotPositiveDefiniteError", "NotWellRoundedError", "SimilarityClass", "class_from_mn",
+        "classify_gram", "e_exponent",
     ),
-    "conic": ("MismatchedTypeError", "class_to_point", "compose", "pell_add"),
-    "enumeration": (
-        "CountReport", "count_classes", "count_primitive", "count_report", "count_windowed",
-        "enumerate_iwr", "mobius_identity_check", "solutions_for_r",
-    ),
+    "conic": ("MismatchedTypeError", "compose"),
+    "enumeration": ("CountReport", "count_report", "enumerate_iwr", "mobius_identity_check"),
     "optimize": (
         "InadmissibleDeterminantError", "OptimizeResult", "admissible_pairs", "enumerate_iwr_via_mn", "optimize",
-        "trivial_bound",
     ),
     "zeta": (
         "MonotonicityReport", "ZetaResult", "epstein_bounds", "epstein_zeta", "monotonicity_check",

@@ -23,9 +23,6 @@ __all__ = [
     "DeterminantSpec",
     "e_exponent",
     "class_from_mn",
-    "angle_cos",
-    "angle_sin_sq",
-    "gauss_reduce",
     "classify_gram",
 ]
 
@@ -208,20 +205,6 @@ def class_from_mn(pair: MnPair) -> SimilarityClass:
     return SimilarityClass(num_p // g, num_r // g, num_q // g, D)
 
 
-def angle_cos(cls: SimilarityClass) -> Fraction:
-    """Cosine of the angle between minimal vectors, exactly p/q."""
-    from fractions import Fraction
-
-    return Fraction(cls.p, cls.q)
-
-
-def angle_sin_sq(cls: SimilarityClass) -> Fraction:
-    """Squared sine of that angle, exactly r^2 D / q^2."""
-    from fractions import Fraction
-
-    return Fraction(cls.r * cls.r * cls.D, cls.q * cls.q)
-
-
 def _mat_mul(u, v):
     return (
         u[0] * v[0] + u[1] * v[2],
@@ -231,7 +214,7 @@ def _mat_mul(u, v):
     )
 
 
-def gauss_reduce(g: GramMatrix) -> tuple[GramMatrix, tuple[tuple[int, int], tuple[int, int]]]:
+def _gauss_reduce(g: GramMatrix) -> tuple[GramMatrix, tuple[tuple[int, int], tuple[int, int]]]:
     """Lagrange-Gauss reduction of a positive definite integral binary form.
 
     Returns (reduced, U) with U integral, det U = +-1, U^T g U = reduced and
@@ -265,7 +248,7 @@ def classify_gram(g: GramMatrix) -> tuple[SimilarityClass, int]:
     off-diagonal k*p, so k = gcd(diagonal, off-diagonal) and D, r come from
     the squarefree split of q^2 - p^2.
     """
-    reduced, _ = gauss_reduce(g)
+    reduced, _ = _gauss_reduce(g)
     a, b = reduced.a, reduced.b
     if reduced.c != a:
         raise NotWellRoundedError(

@@ -109,6 +109,8 @@ def _parse_class(text: str, D: int) -> SimilarityClass:
 
 
 def _class_from_pq(p: int, q: int, D: int) -> SimilarityClass:
+    if D < 1:
+        raise ValueError(f"D must be squarefree >= 1, got {D}")
     rem = q * q - p * p
     if rem <= 0 or rem % D:
         raise ValueError(f"q^2 - p^2 = {rem} is not a positive multiple of D = {D}")

@@ -32,14 +32,20 @@ already made.
 The windowed count of r (the window pairs without the gcd condition) needs
 no second scan: a window pair with gcd g is g times a class of r/g, and
 g | r because D is squarefree, so it is the divisor sum of the class counts,
-one prefix sum along each prime axis of the table.  The per-r helpers build
-the same table for r, off the memo, and refuse a D that is not squarefree
-as DeterminantSpec does.  Only count_windowed, whose definition it is, and
-mobius_identity_check, which ties it to the splits, list every divisor in
-the window, with the parity test restated: c odd lists the divisors of c,
-4 | c those of c/4, and c = 2 mod 4 none.  mobius_identity_check scans only
-the rows its two identities weigh: r itself, and the g | r with
-mu(r/g) != 0.
+one prefix sum along each prime axis of the table.  The answers for one r
+are views of the determinant-level calls on DeterminantSpec(r, D): its
+classes are the lattices of enumerate_iwr with cls.r == r, and its counts
+are the row of r in count_report.
+
+Only mobius_identity_check takes (r, D) itself: it builds the table of r off
+the memo, refuses a D that is not squarefree as DeterminantSpec does, and
+ties the class counts to a scan of every divisor in the window, with the
+parity test restated: c odd lists the divisors of c, 4 | c those of c/4,
+and c = 2 mod 4 none.  It scans only the rows its two identities weigh: r
+itself, and the g | r with mu(r/g) != 0.  It stays in the library because
+the benchmark's checker (perfbench/verify.py) calls it on every census
+answer; once that checker reads an independent route instead, it can move
+to the test oracles.
 """
 
 from __future__ import annotations
@@ -53,10 +59,6 @@ from .optimize import enumerate_iwr_via_mn  # perfbench/verify.py calls it from 
 
 __all__ = [
     "CountReport",
-    "solutions_for_r",
-    "count_classes",
-    "count_primitive",
-    "count_windowed",
     "mobius_identity_check",
     "enumerate_iwr",
     "count_report",
@@ -66,7 +68,7 @@ Row = tuple[int, int, tuple[int, ...]]
 
 # The most classes, by _class_bound, that one call may build.  The bound also
 # caps the rows of the table (tau(M) <= 2 * bound) and the divisors that
-# count_windowed scans (tau(r^2 D) = 2 * bound of r).  Work is under a
+# mobius_identity_check scans (tau(r^2 D) = 2 * bound of r).  Work is under a
 # microsecond per unit of bound: enumerate_iwr takes 0.64 s at the product of
 # the odd primes 3..43 with D = 1, bound 1594323/2 (2 cores, Python 3.11.7).
 _CLASS_BUDGET = 2**20
@@ -139,11 +141,6 @@ def _r_table(r: int, D: int) -> tuple[tuple[int, ...], list[Row]]:
     return _divisor_table(fr, fD)
 
 
-def _r_row(r: int, D: int) -> tuple[tuple[int, ...], Row]:
-    primes, table = _r_table(r, D)
-    return primes, table[-1]
-
-
 def _splits(c: int, primes: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, list[int]]:
     """(n, us): n = c (c odd) or c/4 (8 | c), and its unitary divisors u with n < u^2 <= 3n.
 
@@ -168,13 +165,6 @@ def _classes(c: int, n: int, us: list[int]) -> list[tuple[int, int]]:
     if n == c:
         return [((u - n // u) // 2, (u + n // u) // 2) for u in us]
     return [(u - n // u, u + n // u) for u in us]
-
-
-def _pairs(c: int, primes: tuple[int, ...], x: tuple[int, ...]) -> list[tuple[int, int]]:
-    """The classes (p, q) of q^2 - p^2 = c in the angle window, ascending in q."""
-    n, us = _splits(c, primes, x)
-    us.sort()
-    return _classes(c, n, us)
 
 
 # The split table of the latest determinant: ((M, D), bound, table, splits),
@@ -228,55 +218,20 @@ def _omega(x: tuple[int, ...]) -> int:
 
 
 def _primitive(c: int, x: tuple[int, ...]) -> int:
-    # one class per unordered coprime split {a, b} of c or c/4 with a < b
+    # primitive p > 0 solutions of q^2 - p^2 = c, no angle window: one per
+    # unordered coprime split {a, b} of c or c/4 with a < b (c = 2^j: 1 from j = 3 on)
     if c % 2 and c > 1 or c % 8 == 0:
         return 2 ** (_omega(x) - 1)
     return 0
 
 
-def solutions_for_r(r: int, D: int) -> list[tuple[int, int]]:
-    """Primitive (p, q) with q^2 - p^2 = r^2 D and angle in [pi/3, pi/2), ascending in q."""
-    primes, (_, c, x) = _r_row(r, D)
-    return _pairs(c, primes, x)
-
-
-def count_classes(r: int, D: int) -> int:
-    """Classes of type D with second coordinate exactly r (p > 0)."""
-    primes, (_, c, x) = _r_row(r, D)
-    return len(_splits(c, primes, x)[1])
-
-
-def count_primitive(r: int, D: int) -> int:
-    """Primitive p > 0 solutions of q^2 - p^2 = r^2 D with no angle constraint.
-
-    Closed form from the factor-pair structure of c = r^2 D:
-      - c odd, c > 1:                        2^(omega(c) - 1)
-      - 8 | c with an odd prime divisor:     2^(omega(c) - 1)
-      - c = 2^j:                             1 if j >= 3 else 0
-      - otherwise (c = 1, or 2 | c, 8 !| c): 0
-    """
-    _, (_, c, x) = _r_row(r, D)
-    return _primitive(c, x)
-
-
-def count_windowed(r: int, D: int) -> int:
-    """Divisors of r^2 D in the angle window with matching parity (no gcd filter).
-
-    Matching parity restated: every divisor of c = r^2 D in its window when
-    c is odd, twice every divisor of c/4 in its window when 4 | c, none when
-    c = 2 mod 4.  Every such divisor is listed, with no unitary-split pruning.
-    """
-    primes, (_, c, x) = _r_row(r, D)
-    return _window_count(c, primes, x)
-
-
 def mobius_identity_check(r: int, D: int) -> bool:
     """Both inversion identities tying the class counts to the direct window scan.
 
-    count_windowed(r) = sum over g | r of count_classes(r/g), and back via
-    Moebius.  The class counts come from the coprime splits, the windowed
-    counts from the scan over every divisor, so the identities tie the two
-    routes together.  The first identity scans only the row of r; the
+    The windowed count of r is the sum over g | r of the class count of
+    r/g, and back via Moebius.  The class counts come from the coprime
+    splits, the windowed counts from the scan over every divisor, so the
+    identities tie the two routes together.  The first identity scans only the row of r; the
     second scans only the rows g with mu(r/g) != 0, since the others add 0.
     """
     primes, table = _r_table(r, D)

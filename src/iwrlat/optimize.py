@@ -13,7 +13,7 @@ density.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd, isqrt, sqrt
+from math import gcd, isqrt
 
 from .classes import DeterminantSpec, IwrLattice, MnPair, SimilarityClass, class_from_mn, e_exponent
 
@@ -23,7 +23,6 @@ __all__ = [
     "admissible_pairs",
     "enumerate_iwr_via_mn",
     "optimize",
-    "trivial_bound",
 ]
 
 
@@ -116,9 +115,4 @@ def optimize(spec: DeterminantSpec) -> OptimizeResult:
     )
     lat = IwrLattice(maximizers[0], spec.M // maximizers[0].r)
     return OptimizeResult(lat, maximizers)
-
-
-def trivial_bound(spec: DeterminantSpec) -> float:
-    """Upper bound 2*M*sqrt(D)/sqrt(3) on any minimum; attained only by hexagonal classes."""
-    return 2.0 * spec.M * sqrt(spec.D) / sqrt(3.0)
 

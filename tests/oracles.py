@@ -17,6 +17,12 @@ sharing no step with factorize's trial division, Miller-Rabin and rho.
 divisors, mobius, omega and tau are the textbook functions of n, read off a
 plain trial division by 2 and every odd d with d^2 <= n; they share no code
 with iwrlat.arith.
+
+windowed_count is the direct scan of the angle window over every divisor of
+r^2 D, the count that count_report's n_windowed column reads off the class
+counts.  pell_add and class_to_point are the group law on the Pell conic and
+the point of a class, the route compose clears the denominators of.  All
+three share no code with iwrlat.
 """
 
 from __future__ import annotations
@@ -128,6 +134,38 @@ def _trial_factors(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+def windowed_count(r: int, D: int) -> int:
+    """Divisors b of c = r^2 D with c < b^2 <= 3c and b + c/b even: the window pairs, no gcd condition.
+
+    The divisors come from the trial factors of r and D, so c itself is
+    never factored.
+    """
+    exponents = dict(_trial_factors(D))
+    for p, e in _trial_factors(r):
+        exponents[p] = exponents.get(p, 0) + 2 * e
+    c = r * r * D
+    bs = [1]
+    for p, e in exponents.items():
+        bs = [b * p**k for b in bs for k in range(e + 1)]
+    return sum(1 for b in bs if c < b * b <= 3 * c and (b + c // b) % 2 == 0)
+
+
+def pell_add(p1, p2, D: int) -> tuple[Fraction, Fraction]:
+    """Group law on x^2 - D y^2 = 1: coefficient multiplication in Z[sqrt(D)]."""
+    (x1, y1), (x2, y2) = [(Fraction(x), Fraction(y)) for x, y in (p1, p2)]
+    for x, y in ((x1, y1), (x2, y2)):
+        if x * x - D * y * y != 1:
+            raise ValueError(f"point ({x}, {y}) is not on x^2 - {D} y^2 = 1")
+    return (x1 * x2 + D * y1 * y2, x1 * y2 + x2 * y1)
+
+
+def class_to_point(cls) -> tuple[Fraction, Fraction]:
+    """The conic point (q/p, r/p) of a class with p > 0."""
+    if cls.p == 0:
+        raise ValueError("square class (p = 0) has no conic representative")
+    return (Fraction(cls.q, cls.p), Fraction(cls.r, cls.p))
 
 
 def divisors(n: int) -> list[int]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from oracles import divisors, enumerate_by_gram_scan, mobius, optimize_by_enumeration
+from oracles import divisors, enumerate_by_gram_scan, mobius, optimize_by_enumeration, windowed_count
 
 from iwrlat import (
     DeterminantSpec,
@@ -24,10 +24,7 @@ from iwrlat import (
     SimilarityClass,
     classify_gram,
     compose,
-    count_classes,
-    count_primitive,
     count_report,
-    count_windowed,
     enumerate_iwr,
     enumerate_iwr_via_mn,
     epstein_bounds,
@@ -62,13 +59,19 @@ def _grid_enumerations() -> dict:
 
 
 @functools.cache
+def _row_of_r(r: int, D: int) -> tuple[int, int, int, int]:
+    # (r, n_classes, n_primitive, n_windowed): count_report's rows ascend in r
+    return count_report(DeterminantSpec(r, D)).rows[-1]
+
+
 def _class_count(r: int, D: int) -> int:
-    return count_classes(r, D)
+    return _row_of_r(r, D)[1]
 
 
 @functools.cache
 def _windowed_count(r: int, D: int) -> int:
-    return count_windowed(r, D)
+    # the direct scan of the window, which shares no code with count_report
+    return windowed_count(r, D)
 
 
 # ---------------------------------------------------------------- reference table
@@ -244,10 +247,10 @@ def test_counting_identities_on_grid():
     checked = 0
     for D in _squarefree_upto(50):
         for r in range(1, 201):
-            f = _class_count(r, D)
-            f1 = count_primitive(r, D)
-            f2 = _windowed_count(r, D)
-            if f > min(f1, f2):
+            _, f, f1, f2 = _row_of_r(r, D)
+            if f2 != _windowed_count(r, D):
+                failures.append(("windowed column against the direct scan", r, D))
+            elif f > min(f1, f2):
                 failures.append(("f <= min(f1, f2)", r, D))
             elif f2 != sum(_class_count(r // g, D) for g in divisors(r)):
                 failures.append(("divisor sum", r, D))
@@ -268,7 +271,7 @@ def test_primitive_count_closed_form_matches_bruteforce():
     for D in _squarefree_upto(50):
         r_max = max(200, math.isqrt(10**6 // D))
         for r in range(1, r_max + 1):
-            if count_primitive(r, D) != _primitive_count_brute(r * r * D):
+            if _row_of_r(r, D)[2] != _primitive_count_brute(r * r * D):
                 failures.append((r, D))
             checked += 1
     _check(

@@ -15,12 +15,10 @@ from iwrlat.classes import (
     NotPositiveDefiniteError,
     NotWellRoundedError,
     SimilarityClass,
-    angle_cos,
-    angle_sin_sq,
+    _gauss_reduce,
     class_from_mn,
     classify_gram,
     e_exponent,
-    gauss_reduce,
 )
 from iwrlat.enumeration import CountReport, count_report
 
@@ -75,13 +73,20 @@ def test_class_from_mn_reciprocal_pairs_collapse():
     assert class_from_mn(MnPair(3, 1, 3)) == class_from_mn(MnPair(1, 1, 3)) == HEX
 
 
+def _angle(cls):
+    # cos = b / a and sin^2 = det / a^2, read off the Gram [[q, p], [p, q]] of the minimal lattice
+    g = IwrLattice(cls, 1).gram()
+    return Fraction(g.b, g.a), Fraction(g.det(), g.a * g.a)
+
+
 def test_angle_values():
-    assert angle_cos(HEX) == Fraction(1, 2)
-    assert angle_cos(SQUARE) == 0
-    assert angle_cos(BIG) == Fraction(29, 61)
-    assert angle_sin_sq(BIG) == Fraction(2880, 3721)
+    assert _angle(HEX)[0] == Fraction(1, 2)
+    assert _angle(SQUARE)[0] == 0
+    assert _angle(BIG) == (Fraction(29, 61), Fraction(2880, 3721))
     for cls in (HEX, SQUARE, BIG):
-        assert angle_cos(cls) ** 2 + angle_sin_sq(cls) == 1
+        cos, sin_sq = _angle(cls)
+        assert (cos, sin_sq) == (Fraction(cls.p, cls.q), Fraction(cls.r * cls.r * cls.D, cls.q * cls.q))
+        assert cos**2 + sin_sq == 1
 
 
 def test_lattice_gram_examples():
@@ -118,15 +123,15 @@ def test_gram_matrix_validation():
 
 
 def test_gauss_reduce_examples():
-    reduced, u = gauss_reduce(GramMatrix(2, 1, 2))
+    reduced, u = _gauss_reduce(GramMatrix(2, 1, 2))
     assert reduced == GramMatrix(2, 1, 2) and u == ((1, 0), (0, 1))
-    reduced, _ = gauss_reduce(GramMatrix(5, 3, 2))
+    reduced, _ = _gauss_reduce(GramMatrix(5, 3, 2))
     assert reduced == GramMatrix(1, 0, 1)
     # determinant 2880 input lands on the Table-style form; the det-13 cousin
     # [[61,90],[90,133]] cannot (unimodular changes preserve the determinant)
-    reduced, _ = gauss_reduce(GramMatrix(61, 90, 180))
+    reduced, _ = _gauss_reduce(GramMatrix(61, 90, 180))
     assert reduced == GramMatrix(61, 29, 61)
-    reduced, _ = gauss_reduce(GramMatrix(61, 90, 133))
+    reduced, _ = _gauss_reduce(GramMatrix(61, 90, 133))
     assert reduced == GramMatrix(1, 0, 13)
 
 
@@ -152,7 +157,7 @@ def test_gauss_reduce_randomized_transform_property():
             else:
                 g = (a + 2 * b * t + c * t * t, b + c * t, c)
         gm = GramMatrix(*g)
-        reduced, u = gauss_reduce(gm)
+        reduced, u = _gauss_reduce(gm)
         assert 0 <= 2 * reduced.b <= reduced.a <= reduced.c
         assert _apply(u, gm) == (reduced.a, reduced.b, reduced.c)
         (u00, u01), (u10, u11) = u

@@ -260,6 +260,23 @@ class TestComposeCommand:
         capsys.readouterr()
 
 
+# the subcommands that build a class from --p, --q (or --c1, --c2) and --D
+CLASS_OPERANDS = {
+    "zeta": ["zeta", "--p", "1", "--q", "2", "--k", "1", "--s", "3"],
+    "snr": ["snr", "--p", "1", "--q", "2", "--k", "1"],
+    "compose": ["compose", "--c1", "1,2", "--c2", "1,2"],
+}
+
+
+class TestClassOperands:
+    @pytest.mark.parametrize("D", ["0", "-3"])
+    @pytest.mark.parametrize("command", list(CLASS_OPERANDS))
+    def test_D_below_1_exits_2_with_the_spec_message(self, capsys, command, D):
+        # D divides q^2 - p^2 and r comes from isqrt of the quotient, so D is checked first
+        assert run([*CLASS_OPERANDS[command], "--D", D]) == 2
+        assert capsys.readouterr().err.startswith("error: D must be")
+
+
 class TestTable1Command:
     def test_matches_golden_file(self, capsys):
         code, rows = run_json(capsys, ["table1"])

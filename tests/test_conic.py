@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import class_to_point, pell_add
 
 from iwrlat.classes import DeterminantSpec, SimilarityClass
-from iwrlat.conic import MismatchedTypeError, class_to_point, compose, pell_add
+from iwrlat.conic import MismatchedTypeError, compose
 from iwrlat.enumeration import enumerate_iwr
 
 HEX = SimilarityClass(1, 1, 2, 3)

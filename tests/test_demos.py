@@ -1,7 +1,7 @@
 """Smoke test: every demo runs to completion against the library in src/.
 
-Demo 02 drives the per-r counting helpers (solutions_for_r, count_classes,
-count_primitive, count_windowed); demo 05 the certified zeta, bracket, SNR
+Demo 02 reads its per-divisor counts off count_report's rows and its
+witnesses off enumerate_iwr; demo 05 drives the certified zeta, bracket, SNR
 and monotonicity calls.
 """
 

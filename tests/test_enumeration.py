@@ -6,21 +6,38 @@ from math import gcd, isclose, isqrt, prod, sqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import divisors, enumerate_by_gram_scan, mobius, omega, tau
+from oracles import divisors, enumerate_by_gram_scan, mobius, omega, tau, windowed_count
 
 from iwrlat import classes, enumeration
 from iwrlat.arith import is_squarefree
 from iwrlat.classes import DeterminantSpec, IwrLattice, SimilarityClass, classify_gram
-from iwrlat.enumeration import (
-    count_classes,
-    count_primitive,
-    count_report,
-    count_windowed,
-    enumerate_iwr,
-    mobius_identity_check,
-    solutions_for_r,
-)
+from iwrlat.enumeration import count_report, enumerate_iwr, mobius_identity_check
 from iwrlat.optimize import enumerate_iwr_via_mn
+
+# --- the answers for one r, as views of the determinant-level calls -----------
+
+
+def solutions_for_r(r, D):
+    """The classes (p, q) of r, ascending in q: the lattices of enumerate_iwr(DeterminantSpec(r, D)) with cls.r == r."""
+    lattices = enumerate_iwr(DeterminantSpec(r, D), include_square_class=False)
+    return [(lat.cls.p, lat.cls.q) for lat in lattices if lat.cls.r == r]
+
+
+def _row_of_r(r, D):
+    # count_report's rows ascend in r, so r's own row is the last
+    return count_report(DeterminantSpec(r, D)).rows[-1]
+
+
+def count_classes(r, D):
+    return _row_of_r(r, D)[1]
+
+
+def count_primitive(r, D):
+    return _row_of_r(r, D)[2]
+
+
+def count_windowed(r, D):
+    return _row_of_r(r, D)[3]
 
 
 def test_solutions_for_r_examples():
@@ -75,7 +92,7 @@ def test_count_windowed_matches_the_parity_test_on_every_b():
         for r in WINDOWED_R:
             c = r * r * D
             kinds.add("c odd" if c % 2 else "c = 2 mod 4" if c % 4 == 2 else "4 || c" if c % 8 else "8 | c")
-            assert count_windowed(r, D) == _brute_windowed(r, D), (r, D)
+            assert count_windowed(r, D) == windowed_count(r, D) == _brute_windowed(r, D), (r, D)
     assert kinds == {"c odd", "c = 2 mod 4", "4 || c", "8 | c"}
 
 
@@ -109,9 +126,9 @@ def test_mobius_identity_examples():
     assert mobius_identity_check(24, 5)
     assert mobius_identity_check(1, 7)
     assert mobius_identity_check(3, 5)
-    # spot check the first identity by hand for (12, 5)
+    # spot check the first identity by hand for (12, 5), against the direct scan
     total = sum(count_classes(12 // g, 5) for g in (1, 2, 3, 4, 6, 12))
-    assert count_windowed(12, 5) == total == 3
+    assert windowed_count(12, 5) == count_windowed(12, 5) == total == 3
 
 
 def test_enumerate_iwr_24_root_5():
@@ -344,12 +361,14 @@ def test_enumeration_matches_independent_routes(M, D):
     assert [(lat.cls, lat.k) for lat in via] == [(lat.cls, lat.k) for lat in lattices]
     per_r = Counter(lat.cls.r for lat in lattices if lat.cls.p > 0)
     for r, n_classes, _, n_windowed in count_report(spec).rows:
-        assert n_windowed == count_windowed(r, D)
+        assert n_windowed == windowed_count(r, D)
         assert n_classes == per_r[r]
 
 
-# --- the per-r helpers take the window argument's squarefree D only ------------
+# --- the answers for one r take a squarefree D only ----------------------------
 
+# the views refuse through DeterminantSpec; mobius_identity_check, which takes
+# (r, D) itself, must refuse alike
 PER_R_HELPERS = (solutions_for_r, count_classes, count_primitive, count_windowed, mobius_identity_check)
 
 
@@ -427,10 +446,9 @@ def test_count_report_after_enumerate_splits_each_row_once(monkeypatch, M, D):
     report = count_report(spec)
     assert sorted(calls) == sorted(r * r * D for r in divisors(M))
     assert report.total + report.square_classes == len(lattices)
-    # the per-r helpers and the identity check stay a fresh second route
+    # the identity check stays a fresh second route, off the memo
     calls.clear()
     assert mobius_identity_check(M, D)
-    assert count_classes(M, D) == report.rows[-1][1]
     assert calls
 
 

@@ -5,7 +5,8 @@ this process cannot hide or fake an import.  Outside the zeta layer the value
 classes are slotted classes, not dataclasses, so neither `dataclasses` nor
 the `inspect` it imports is loaded.  The dependency guard also reads
 pyproject.toml and every import statement under src/iwrlat.  The surface
-guard keeps the package's __all__ equal to the union of its modules' lists.
+guard keeps the package's __all__ equal to the union of its modules' lists,
+and pins it to an explicit list, so a name cannot join or leave unnoticed.
 Nor does `import iwrlat` load `typing`: `OptimizeResult` is a plain namedtuple.
 """
 
@@ -37,7 +38,8 @@ else:
     exec(arg or "")
 modules = sorted(m for m in sys.modules if m == "iwrlat" or m.startswith("iwrlat."))
 stdlib = [m for m in ("dataclasses", "inspect") if m in sys.modules]
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "modules": modules, "stdlib": stdlib}))
+exact = [m for m in ("fractions", "decimal") if m in sys.modules]
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "modules": modules, "stdlib": stdlib, "exact": exact}))
 """
 
 
@@ -116,6 +118,12 @@ def test_the_mn_route_loads_no_further_layer():
     # enumerate_iwr_via_mn lives in optimize, next to the scan it lists
     stmt = "iwrlat.enumerate_iwr_via_mn(iwrlat.DeterminantSpec(24, 5))"
     assert _probe(stmt)["modules"] == _loaded()
+
+
+def test_compose_loads_neither_fractions_nor_decimal():
+    # compose clears the conic's denominators on integers; the point addition is a test oracle
+    out = _probe(["compose", "--D", "3", "--c1", "1,2", "--c2", "1,2"])
+    assert (out["code"], out["exact"]) == (0, [])
 
 
 def test_import_iwrlat_loads_neither_dataclasses_nor_inspect():
@@ -276,6 +284,36 @@ def test_library_imports_only_the_standard_library():
 
 
 LIBRARY_MODULES = ("arith", "classes", "conic", "enumeration", "optimize", "zeta")
+
+PUBLIC_NAMES = [
+    "CountReport", "DeterminantSpec", "Factorization", "GramMatrix", "InadmissibleDeterminantError",
+    "IwrLattice", "MismatchedTypeError", "MnPair", "MonotonicityReport", "NotIntegralError",
+    "NotPositiveDefiniteError", "NotWellRoundedError", "OptimizeResult", "SimilarityClass", "ZetaResult",
+    "__version__", "admissible_pairs", "class_from_mn", "classify_gram", "compose", "count_report",
+    "e_exponent", "enumerate_iwr", "enumerate_iwr_via_mn", "epstein_bounds", "epstein_zeta", "factorize",
+    "is_prime", "is_squarefree", "mobius_identity_check", "monotonicity_check", "optimize",
+    "packing_density", "snr", "squarefree_part",
+]
+
+# second routes kept only as test oracles, and helpers inlined where used or made private
+REMOVED_NAMES = [
+    "angle_cos", "angle_sin_sq", "class_to_point", "count_classes", "count_primitive", "count_windowed",
+    "gauss_reduce", "pell_add", "solutions_for_r", "trivial_bound",
+]
+
+
+def test_public_surface_is_pinned():
+    import iwrlat
+
+    assert sorted(iwrlat.__all__) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_removed_name_is_gone(name):
+    import iwrlat
+
+    with pytest.raises(AttributeError):
+        getattr(iwrlat, name)
 
 
 def test_package_exports_exactly_the_modules_public_names():

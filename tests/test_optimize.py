@@ -5,17 +5,11 @@ from oracles import optimize_by_enumeration
 
 from iwrlat.arith import is_squarefree
 from iwrlat.classes import DeterminantSpec, MnPair, class_from_mn
-from iwrlat.optimize import (
-    InadmissibleDeterminantError,
-    admissible_pairs,
-    enumerate_iwr_via_mn,
-    optimize,
-    trivial_bound,
-)
+from iwrlat.optimize import InadmissibleDeterminantError, admissible_pairs, enumerate_iwr_via_mn, optimize
 
 
 def _bound_squared(spec):
-    """Exact square 4 M^2 D / 3 of trivial_bound."""
+    """Exact square 4 M^2 D / 3 of the bound 2 M sqrt(D) / sqrt(3) on any minimum."""
     return Fraction(4 * spec.M * spec.M * spec.D, 3)
 
 
@@ -126,8 +120,8 @@ def test_optimize_matches_bruteforce_on_grid():
 def test_trivial_bound():
     assert _bound_squared(DeterminantSpec(24, 5)) == Fraction(3840)
     assert 3840 >= 61 * 61
-    assert trivial_bound(DeterminantSpec(1, 3)) == pytest.approx(2.0)
-    assert trivial_bound(DeterminantSpec(24, 17)) == pytest.approx(114.2628, abs=1e-3)
+    assert _bound_squared(DeterminantSpec(1, 3)) == 4
+    assert _bound_squared(DeterminantSpec(24, 17)) == 13056  # 114.2628^2
     # equality in the bound happens exactly for hexagonal results (2p = q)
     res = optimize(DeterminantSpec(1, 3))
     assert res.lattice.minimum**2 == _bound_squared(DeterminantSpec(1, 3))
