@@ -62,19 +62,24 @@ class SimilarityClass(_Value):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "D", D)
-        for name in ("p", "r", "q", "D"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise NotIntegralError(f"{name} must be an int, got {v!r}")
-        if self.p < 0 or self.r < 1 or self.q < 1 or self.D < 1:
+        # each check named: enumeration builds classes in bulk, and a loop over getattr cost twice as much
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise NotIntegralError(f"p must be an int, got {p!r}")
+        if not isinstance(r, int) or isinstance(r, bool):
+            raise NotIntegralError(f"r must be an int, got {r!r}")
+        if not isinstance(q, int) or isinstance(q, bool):
+            raise NotIntegralError(f"q must be an int, got {q!r}")
+        if not isinstance(D, int) or isinstance(D, bool):
+            raise NotIntegralError(f"D must be an int, got {D!r}")
+        if p < 0 or r < 1 or q < 1 or D < 1:
             raise ValueError(f"coordinates out of range: {self}")
-        if check_D and not is_squarefree(self.D):
-            raise ValueError(f"D must be squarefree, got {self.D}")
-        if self.p * self.p + self.D * self.r * self.r != self.q * self.q:
+        if check_D and not is_squarefree(D):
+            raise ValueError(f"D must be squarefree >= 1, got {D}")
+        if p * p + D * r * r != q * q:
             raise ValueError(f"p^2 + D r^2 != q^2 for {self}")
-        if gcd(self.p, self.q) != 1:
+        if gcd(p, q) != 1:
             raise ValueError(f"gcd(p, q) != 1 for {self}")
-        if 2 * self.p > self.q:
+        if 2 * p > q:
             raise ValueError(f"2p > q for {self} (angle outside [pi/3, pi/2])")
 
     # each field named, as fast as the dataclass methods (see arith._Value)
@@ -106,7 +111,7 @@ class MnPair(_Value):
         if self.m < 1 or self.n < 1 or self.D < 1:
             raise ValueError(f"m, n, D must be positive: {self}")
         if not is_squarefree(self.D):
-            raise ValueError(f"D must be squarefree, got {self.D}")
+            raise ValueError(f"D must be squarefree >= 1, got {self.D}")
         if gcd(self.m, self.n) != 1:
             raise ValueError(f"gcd(m, n) != 1 for {self}")
         if self.D * self.n * self.n > 3 * self.m * self.m:

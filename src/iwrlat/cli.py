@@ -17,6 +17,7 @@ import math
 import sys
 from math import isqrt
 
+from .arith import is_squarefree
 from .classes import (
     DeterminantSpec,
     GramMatrix,
@@ -109,7 +110,8 @@ def _parse_class(text: str, D: int) -> SimilarityClass:
 
 
 def _class_from_pq(p: int, q: int, D: int) -> SimilarityClass:
-    if D < 1:
+    # D first, so a D that is not squarefree gets DeterminantSpec's message whatever p and q are
+    if not is_squarefree(D):
         raise ValueError(f"D must be squarefree >= 1, got {D}")
     rem = q * q - p * p
     if rem <= 0 or rem % D:

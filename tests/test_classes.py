@@ -272,13 +272,13 @@ INVALID = [
     (SimilarityClass, (1.0, 1, 2, 3), NotIntegralError, "p must be an int, got 1.0"),
     (SimilarityClass, (1, 1, 2, True), NotIntegralError, "D must be an int, got True"),
     (SimilarityClass, (-1, 1, 1, 1), ValueError, "coordinates out of range: SimilarityClass(p=-1, r=1, q=1, D=1)"),
-    (SimilarityClass, (1, 1, 3, 8), ValueError, "D must be squarefree, got 8"),
+    (SimilarityClass, (1, 1, 3, 8), ValueError, "D must be squarefree >= 1, got 8"),
     (SimilarityClass, (1, 1, 3, 5), ValueError, "p^2 + D r^2 != q^2 for SimilarityClass(p=1, r=1, q=3, D=5)"),
     (SimilarityClass, (3, 3, 6, 3), ValueError, "gcd(p, q) != 1 for SimilarityClass(p=3, r=3, q=6, D=3)"),
     (SimilarityClass, (3, 4, 5, 1), ValueError,
      "2p > q for SimilarityClass(p=3, r=4, q=5, D=1) (angle outside [pi/3, pi/2])"),
     (MnPair, (0, 1, 3), ValueError, "m, n, D must be positive: MnPair(m=0, n=1, D=3)"),
-    (MnPair, (1, 1, 4), ValueError, "D must be squarefree, got 4"),
+    (MnPair, (1, 1, 4), ValueError, "D must be squarefree >= 1, got 4"),
     (MnPair, (2, 4, 5), ValueError, "gcd(m, n) != 1 for MnPair(m=2, n=4, D=5)"),
     (MnPair, (1, 2, 5), ValueError, "pair below band (D n^2 > 3 m^2): MnPair(m=1, n=2, D=5)"),
     (MnPair, (9, 1, 5), ValueError, "pair above band (m^2 > 3 D n^2): MnPair(m=9, n=1, D=5)"),

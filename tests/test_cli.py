@@ -11,10 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from make_goldens import CLI_GOLDEN, CLI_GOLDEN_ARGV, run_cli
+
 from iwrlat import DeterminantSpec, IwrLattice, SimilarityClass, classes, enumerate_iwr, snr
 from iwrlat.cli import _lattice_record, run
 
 GOLDEN = Path(__file__).parent / "data" / "table1_golden.json"
+CLI_GOLDEN_RECORDS = json.loads(CLI_GOLDEN.read_text())
 
 
 def run_json(capsys, argv):
@@ -276,6 +279,18 @@ class TestClassOperands:
         assert run([*CLASS_OPERANDS[command], "--D", D]) == 2
         assert capsys.readouterr().err.startswith("error: D must be")
 
+    @pytest.mark.parametrize("D", ["4", "12"])
+    @pytest.mark.parametrize("command", list(CLASS_OPERANDS))
+    def test_non_squarefree_D_gets_the_spec_message(self, capsys, command, D):
+        # (1, 2) used to fail the q^2 - p^2 test here, with a message of its own
+        assert run([*CLASS_OPERANDS[command], "--D", D]) == 2
+        assert capsys.readouterr() == ("", f"error: D must be squarefree >= 1, got {D}\n")
+
+    def test_non_squarefree_D_message_does_not_depend_on_the_operands(self, capsys):
+        # (3, 5) passes the q^2 - p^2 tests at D = 4, and used to fail in SimilarityClass instead
+        assert run(["compose", "--D", "4", "--c1", "3,5", "--c2", "3,5"]) == 2
+        assert capsys.readouterr() == ("", "error: D must be squarefree >= 1, got 4\n")
+
 
 class TestTable1Command:
     def test_matches_golden_file(self, capsys):
@@ -297,6 +312,18 @@ class TestTable1Command:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [int(r["min_norm"]) for r in rows] == [61, 69, 75, 98, 106, 510, 522]
+
+
+class TestGoldenOutput:
+    """enumerate and count, byte for byte against tests/data/cli_golden.json (tests/make_goldens.py)."""
+
+    def test_golden_file_covers_the_listed_invocations(self):
+        assert [rec["argv"] for rec in CLI_GOLDEN_RECORDS] == CLI_GOLDEN_ARGV
+        assert {rec["code"] for rec in CLI_GOLDEN_RECORDS} == {0, 2, 3}
+
+    @pytest.mark.parametrize("golden", CLI_GOLDEN_RECORDS, ids=lambda rec: "_".join(rec["argv"]).replace("--", ""))
+    def test_invocation_matches_golden(self, golden):
+        assert run_cli(golden["argv"]) == golden
 
 
 class TestParserPlumbing:

@@ -228,6 +228,25 @@ def test_class_budget_answers_below_and_refuses_above():
             helper(over, 1)
 
 
+@pytest.mark.parametrize("call", [enumerate_iwr, count_report, mobius_identity_check])
+def test_class_budget_edge_is_exact(monkeypatch, call):
+    # the budget compares twice the bound with twice the budget, on integers
+    monkeypatch.setattr(enumeration, "_CLASS_BUDGET", 12)
+    monkeypatch.setattr(enumeration, "_last_split_table", None)
+
+    def ask(M, D):
+        return call(M, D) if call is mobius_identity_check else call(DeterminantSpec(M, D))
+
+    # 24 = 2^3 * 3 with D = 2: bound (1/2) * 2 * (3 + 1) * (1 + 2) = 12, the budget itself
+    assert ask(24, 2)
+    if call is count_report:
+        assert count_report(DeterminantSpec(24, 2)).bound == 12
+    # 36 = 2^2 * 3^2 with D = 1: bound (1/2) * 5 * 5 = 25/2, just over
+    with pytest.raises(ValueError) as info:
+        ask(36, 1)
+    assert str(info.value) == "the class bound of IWR(36*sqrt(1)) is 25/2, over the budget of 12"
+
+
 # --- factor-once: only M and D reach factorize --------------------------------
 
 

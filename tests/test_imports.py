@@ -126,6 +126,12 @@ def test_compose_loads_neither_fractions_nor_decimal():
     assert (out["code"], out["exact"]) == (0, [])
 
 
+def test_enumerate_loads_neither_fractions_nor_decimal():
+    # the class budget is compared on integers; only count_report's bound and the refusal build a Fraction
+    out = _probe(["enumerate", "--M", "360", "--D", "5"])
+    assert (out["code"], out["exact"]) == (0, [])
+
+
 def test_import_iwrlat_loads_neither_dataclasses_nor_inspect():
     assert _probe(None)["stdlib"] == []
 
