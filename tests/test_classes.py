@@ -267,6 +267,47 @@ def test_value_classes_unpickle_from_their_dataclass_form():
     assert report == count_report(DeterminantSpec(3, 3))
 
 
+# each of VALUES as pickled (protocol 4) by _Value.__reduce__ at 9eb1e29: __newobj__ and a
+# tuple of the fields, the form that pickles written before a change of the format hold
+SLOT_TUPLE_PICKLES = {
+    "Factorization":
+        "8004953f000000000000008c0c6977726c61742e6172697468948c0d466163746f72697a6174696f6e9493942981944d"
+        "68014b024b0386944b034b0286944b054b01869487948694622e",
+    "SimilarityClass":
+        "80049535000000000000008c0e6977726c61742e636c6173736573948c0f53696d696c6172697479436c617373949394"
+        "298194284b1d4b184b3d4b057494622e",
+    "MnPair":
+        "80049529000000000000008c0e6977726c61742e636c6173736573948c064d6e506169729493942981944b0f4b044b05"
+        "8794622e",
+    "DeterminantSpec":
+        "80049530000000000000008c0e6977726c61742e636c6173736573948c0f44657465726d696e616e7453706563949394"
+        "2981944b184b058694622e",
+    "IwrLattice":
+        "8004954e000000000000008c0e6977726c61742e636c6173736573948c0a4977724c61747469636594939429819468008c"
+        "0f53696d696c6172697479436c617373949394298194284b014b014b024b037494624b028694622e",
+    "GramMatrix":
+        "8004952d000000000000008c0e6977726c61742e636c6173736573948c0a4772616d4d61747269789493942981944b3d4b"
+        "1d4b3d8794622e",
+    "CountReport":
+        "800495a2000000000000008c126977726c61742e656e756d65726174696f6e948c0b436f756e745265706f7274949394"
+        "298194288c0e6977726c61742e636c6173736573948c0f44657465726d696e616e74537065639493942981944b184b05"
+        "869462284b014b004b014b007494284b184b014b044b04749486944b044b008c096672616374696f6e73948c08467261"
+        "6374696f6e9493944b154b0286945294473fe00000000000007494622e",
+}
+
+
+def test_slot_tuple_pickles_cover_every_value_class():
+    assert set(SLOT_TUPLE_PICKLES) == set(VALUE_IDS)
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES, ids=VALUE_IDS)
+def test_value_class_unpickles_from_its_slot_tuple_form(cls, fields, text, monkeypatch):
+    obj = cls(**fields)
+    monkeypatch.setattr(cls, "__init__", None)  # loading must not call it
+    again = pickle.loads(bytes.fromhex(SLOT_TUPLE_PICKLES[cls.__name__]))
+    assert type(again) is cls and again == obj and repr(again) == text
+
+
 # constructor, arguments, the exception class and its message
 INVALID = [
     (SimilarityClass, (1.0, 1, 2, 3), NotIntegralError, "p must be an int, got 1.0"),

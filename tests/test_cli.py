@@ -315,7 +315,11 @@ class TestTable1Command:
 
 
 class TestGoldenOutput:
-    """enumerate and count, byte for byte against tests/data/cli_golden.json (tests/make_goldens.py)."""
+    """Every subcommand, byte for byte against tests/data/cli_golden.json (tests/make_goldens.py).
+
+    The zeta and snr floats are compared byte for byte too, not by their certified
+    bound: the in-process runs use the same libm as the run that wrote the file.
+    """
 
     def test_golden_file_covers_the_listed_invocations(self):
         assert [rec["argv"] for rec in CLI_GOLDEN_RECORDS] == CLI_GOLDEN_ARGV

@@ -1,3 +1,4 @@
+import json
 import pickle
 from collections import Counter
 from fractions import Fraction
@@ -6,6 +7,7 @@ from math import gcd, isclose, isqrt, prod, sqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from make_goldens import DIGEST_GOLDEN, enumeration_digests
 from oracles import divisors, enumerate_by_gram_scan, mobius, omega, tau, windowed_count
 
 from iwrlat import classes, enumeration
@@ -528,3 +530,11 @@ def test_budget_is_checked_before_the_memo(monkeypatch):
         with pytest.raises(ValueError, match="is 2657205/2, over the budget of 1048576"):
             call(over)
         assert not calls
+
+
+# --- the enumeration layer's answers, pinned -------------------------------------
+
+
+def test_enumeration_layer_matches_its_digest_golden():
+    # the digests of tests/data/enumeration_digest.json, written by tests/make_goldens.py at 9eb1e29
+    assert enumeration_digests() == json.loads(DIGEST_GOLDEN.read_text())
