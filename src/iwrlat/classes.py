@@ -50,18 +50,12 @@ class SimilarityClass(_Value):
     def __init__(self, p: int, r: int, q: int, D: int):
         self._init(p, r, q, D, check_D=True)
 
-    @classmethod
-    def _of_squarefree_D(cls, p: int, r: int, q: int, D: int) -> SimilarityClass:
-        """The class (p, r, q, D) for a D already known squarefree: every check but that one."""
-        self = object.__new__(cls)
-        self._init(p, r, q, D, check_D=False)
-        return self
-
     def _init(self, p: int, r: int, q: int, D: int, check_D: bool) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "D", D)
+        setattr_ = object.__setattr__
+        setattr_(self, "p", p)
+        setattr_(self, "r", r)
+        setattr_(self, "q", q)
+        setattr_(self, "D", D)
         # each check named: enumeration builds classes in bulk, and a loop over getattr cost twice as much
         if not isinstance(p, int) or isinstance(p, bool):
             raise NotIntegralError(f"p must be an int, got {p!r}")
@@ -140,10 +134,13 @@ class IwrLattice(_Value):
     __slots__ = ("cls", "k")
 
     def __init__(self, cls: SimilarityClass, k: int):
+        self._init(cls, k)
+
+    def _init(self, cls: SimilarityClass, k: int) -> None:
         object.__setattr__(self, "cls", cls)
         object.__setattr__(self, "k", k)
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"k must be a positive int, got {self.k!r}")
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ValueError(f"k must be a positive int, got {k!r}")
 
     # each field named, as fast as the dataclass methods (see arith._Value)
     def __eq__(self, other):
@@ -189,6 +186,24 @@ class GramMatrix(_Value):
 
     def rows(self) -> list[list[int]]:
         return [[self.a, self.b], [self.b, self.c]]
+
+
+def _lattices_of_squarefree_D(D: int, rows) -> list[IwrLattice]:
+    """IwrLattice(SimilarityClass(p, r, q, D), k) for each (p, r, q, k) of rows, for a D known squarefree.
+
+    Every constructor check runs but the test that D is squarefree.  The
+    objects are made in one loop, without a constructor call per object:
+    enumeration builds its lattices here, in bulk.
+    """
+    new = object.__new__
+    out = []
+    for p, r, q, k in rows:
+        cls = new(SimilarityClass)
+        cls._init(p, r, q, D, False)
+        lattice = new(IwrLattice)
+        lattice._init(cls, k)
+        out.append(lattice)
+    return out
 
 
 def e_exponent(m: int, n: int, D: int) -> int:

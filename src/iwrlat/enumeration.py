@@ -54,10 +54,12 @@ to the test oracles.
 
 from __future__ import annotations
 
+from itertools import product, repeat
+from operator import itemgetter
 from math import isqrt, prod, sqrt
 
 from .arith import Factorization, _Value, factorize
-from .classes import DeterminantSpec, IwrLattice, SimilarityClass
+from .classes import DeterminantSpec, IwrLattice, _lattices_of_squarefree_D
 from .optimize import enumerate_iwr_via_mn  # perfbench/verify.py calls it from this module
 
 __all__ = [
@@ -67,7 +69,8 @@ __all__ = [
     "count_report",
 ]
 
-Row = tuple[int, int, tuple[int, ...]]
+# the divisor table: the primes of M D, and the columns r, r^2 D and the power of each prime in r^2 D
+Table = tuple[tuple[int, ...], list[int], list[int], list[tuple[int, ...]]]
 
 # The most classes, by _class_bound, that one call may build.  The bound also
 # caps the rows of the table (tau(M) <= 2 * bound) and the divisors that
@@ -103,38 +106,45 @@ def _budgeted_bound(fM: Factorization, fD: Factorization) -> int:
     return twice
 
 
-def _divisor_table(fM: Factorization, fD: Factorization) -> tuple[tuple[int, ...], list[Row]]:
-    """The primes of M D, and (r, r^2 D, the power of each of those primes in r^2 D) for each r | M.
+def _divisor_table(fM: Factorization, fD: Factorization) -> Table:
+    """The primes of M D, and three columns over the r | M: r, c = r^2 D, and the power of each of those primes in c.
 
-    The powers are 1 for the primes that do not divide r^2 D.
+    The powers are 1 for the primes that do not divide c.
 
-    Rows are in mixed-radix order over the primes of M, the first fastest:
-    r = prod p_i^a_i sits at index sum a_i s_i, where s_i is the product of
-    (e_j + 1) over the primes p_j of M before p_i.  So M is the last row.
+    Rows are in the order of itertools.product over each prime's powers, the
+    last prime fastest: r = prod p_i^a_i sits at index sum a_i s_i, where s_i
+    is the product of (e_j + 1) over the primes p_j of M after p_i.  So M is
+    the last row, and r/g sits at the last index minus the index of g.
     The caller checks the budget (_budgeted_bound) before building it.
     """
-    eD = dict(fD.factors)
-    primes = tuple(sorted(eD.keys() | dict(fM.factors).keys()))
-    table = [(1, fD.value, tuple(p ** eD.get(p, 0) for p in primes))]
-    for p, e in fM.factors:
-        i = primes.index(p)
-        block = table
-        for k in range(1, e + 1):
-            pk = p**k
-            pk2 = pk * pk
-            table = table + [(r * pk, c * pk2, w[:i] + (w[i] * pk2,) + w[i + 1 :]) for r, c, w in block]
-    return primes, table
+    eM, eD = dict(fM.factors), dict(fD.factors)
+    primes = tuple(sorted(eM.keys() | eD.keys()))
+    # along each prime p: its powers in r, and p^(e_D) times their squares
+    r_axes, c_axes = [], []
+    for p in primes:
+        pD = p if p in eD else 1
+        r_axis, c_axis = [1], [pD]
+        pk = 1
+        for _ in range(eM.get(p, 0)):
+            pk *= p
+            r_axis.append(pk)
+            c_axis.append(pD * pk * pk)
+        r_axes.append(r_axis)
+        c_axes.append(c_axis)
+    powers = list(product(*c_axes))
+    return primes, list(map(prod, product(*r_axes))), list(map(prod, powers)), powers
 
 
 def _divisor_sums(counts: list[int], fM: Factorization) -> list[int]:
     """At each row of the table of M, the sum of counts over the rows of the divisors of its r.
 
     Along the axis of a prime p^e with stride s, the table falls into runs of
-    (e + 1) s rows, and each row past the first s of its run adds the row s before it.
+    (e + 1) s rows, and each row past the first s of its run adds the row s
+    before it.  The last prime has stride 1.
     """
     out = list(counts)
     stride = 1
-    for _, e in fM.factors:
+    for _, e in reversed(fM.factors):
         span = stride * (e + 1)
         for start in range(0, len(out), span):
             for i in range(start + stride, start + span):
@@ -143,7 +153,7 @@ def _divisor_sums(counts: list[int], fM: Factorization) -> list[int]:
     return out
 
 
-def _r_table(r: int, D: int) -> tuple[Factorization, tuple[int, ...], list[Row]]:
+def _r_table(r: int, D: int) -> tuple[Factorization, Table]:
     if r < 1 or D < 1:
         raise ValueError("r and D must be positive")
     fr, fD = factorize(r), factorize(D)
@@ -151,7 +161,7 @@ def _r_table(r: int, D: int) -> tuple[Factorization, tuple[int, ...], list[Row]]
     if any(e > 1 for _, e in fD.factors):
         raise ValueError(f"D must be squarefree >= 1, got {D}")
     _budgeted_bound(fr, fD)
-    return (fr, *_divisor_table(fr, fD))
+    return fr, _divisor_table(fr, fD)
 
 
 def _splits(c: int, primes: tuple[int, ...], powers: tuple[int, ...]) -> tuple[int, list[int]]:
@@ -174,20 +184,13 @@ def _splits(c: int, primes: tuple[int, ...], powers: tuple[int, ...]) -> tuple[i
     return c, [u for u in us if u > low]
 
 
-def _classes(c: int, n: int, us: list[int]) -> list[tuple[int, int]]:
-    """The (p, q) of q^2 - p^2 = c split by each u of us, the unitary divisors of n from _splits."""
-    if n == c:
-        return [((u - n // u) // 2, (u + n // u) // 2) for u in us]
-    return [(u - n // u, u + n // u) for u in us]
-
-
 # The split table of the latest determinant: ((M, D), 2 * bound, table, splits),
 # replaced whole by one assignment, so a thread reads an old or a new entry,
 # never half of one.
 _last_split_table = None
 
 
-def _split_table(fM: Factorization, fD: Factorization) -> tuple[int, list[Row], list[tuple[int, list[int]]]]:
+def _split_table(fM: Factorization, fD: Factorization) -> tuple[int, Table, list[tuple[int, list[int]]]]:
     """Twice the class bound, the divisor table of M and D, and each row's (n, us) from _splits.
 
     The budget is checked on every call, before the memo of the latest
@@ -199,8 +202,8 @@ def _split_table(fM: Factorization, fD: Factorization) -> tuple[int, list[Row], 
     last = _last_split_table
     if last is not None and last[0] == key:
         return last[1:]
-    primes, table = _divisor_table(fM, fD)
-    splits = [_splits(c, primes, w) for _, c, w in table]
+    table = primes, _, cs, powers = _divisor_table(fM, fD)
+    splits = list(map(_splits, cs, repeat(primes), powers))
     _last_split_table = (key, twice_bound, table, splits)
     return twice_bound, table, splits
 
@@ -241,19 +244,17 @@ def mobius_identity_check(r: int, D: int) -> bool:
     identities tie the two routes together.  The first identity scans only the row of r; the
     second scans only the rows g with mu(r/g) != 0, since the others add 0.
     """
-    fr, primes, table = _r_table(r, D)
-    classes = [len(_splits(c, primes, w)[1]) for _, c, w in table]
-    _, c_top, w_top = table[-1]
-    n_top = _window_count(c_top, primes, w_top)
+    fr, (primes, _, cs, powers) = _r_table(r, D)
+    classes = [len(us) for _, us in map(_splits, cs, repeat(primes), powers)]
+    n_top = _window_count(cs[-1], primes, powers[-1])
     if sum(classes) != n_top:
         return False
-    # mu of each row's g, in the table's mixed-radix order: a prime p^a of r
-    # extends it by -mu and a - 1 blocks of 0
-    mu = [1]
-    for _, a in fr.factors:
-        mu += [-m for m in mu] + [0] * (len(mu) * (a - 1))
+    # mu of each row's g, in the table's order: the product of 1, -1, 0, ..., 0 along each prime p^a of r
+    mu = list(map(prod, product(*[[1, -1] + [0] * (a - 1) for _, a in fr.factors])))
     # r/g sits at top - i when g sits at i; the top row, mu(1) = 1, is n_top
-    inverted = n_top + sum(m * _window_count(c, primes, w) for m, (_, c, w) in zip(reversed(mu), table[:-1]) if m)
+    inverted = n_top + sum(
+        m * _window_count(c, primes, w) for m, c, w in zip(reversed(mu), cs[:-1], powers) if m
+    )
     return inverted == classes[-1]
 
 
@@ -265,18 +266,22 @@ def enumerate_iwr(spec: DeterminantSpec, include_square_class: bool = True) -> l
     and only when include_square_class is set.
     """
     M, D = spec.M, spec.D
-    _, table, splits = _split_table(factorize(M), factorize(D))
+    _, (_, rs, cs, _), splits = _split_table(factorize(M), factorize(D))
     # (minimum, q, p, r, k) of each class: the sort key first, and unique
     found = []
-    for (r, c, _), (n, us) in zip(table, splits):
+    for r, c, (n, us) in zip(rs, cs, splits):
         if us:
             k = M // r
-            found += [(k * q, q, p, r, k) for p, q in _classes(c, n, us)]
+            # u splits q^2 - p^2 = c as (q + p)(q - p) = u * (n/u) for c odd, 4u * (n/u) for 8 | c
+            for u in us:
+                v = n // u
+                p, q = ((u - v) // 2, (u + v) // 2) if n == c else (u - v, u + v)
+                found.append((k * q, q, p, r, k))
     if D == 1 and include_square_class:
         found.append((M, 1, 0, 1, M))  # the square class, at r = 1
     found.sort()
-    make = SimilarityClass._of_squarefree_D  # spec's D is squarefree
-    return [IwrLattice(make(p, r, q, D), k) for _, q, p, r, k in found]
+    # spec's D is squarefree; the rows go in as (p, r, q, k)
+    return _lattices_of_squarefree_D(D, map(itemgetter(2, 3, 1, 4), found))
 
 
 class CountReport(_Value):
@@ -304,36 +309,34 @@ class CountReport(_Value):
         bound: Fraction,
         diagnostic: float,
     ):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "square_classes", square_classes)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "diagnostic", diagnostic)
+        setattr_ = object.__setattr__
+        setattr_(self, "spec", spec)
+        setattr_(self, "rows", rows)
+        setattr_(self, "total", total)
+        setattr_(self, "square_classes", square_classes)
+        setattr_(self, "bound", bound)
+        setattr_(self, "diagnostic", diagnostic)
 
 
 def count_report(spec: DeterminantSpec) -> CountReport:
     from fractions import Fraction
 
     fM, fD = factorize(spec.M), factorize(spec.D)
-    twice_bound, table, splits = _split_table(fM, fD)
+    twice_bound, (primes, rs, cs, powers), splits = _split_table(fM, fD)
     classes = [len(us) for _, us in splits]
     # primitive p > 0 solutions of q^2 - p^2 = c, no angle window: one per
     # unordered coprime split {a, b} of c or c/4 with a < b, so 2^(omega(c) - 1)
     # for c odd above 1 or 8 | c, and none else (c = 2^j: 1 from j = 3 on)
     primitive = [
-        1 << (len(w) - w.count(1) - 1) if c % 8 == 0 or c % 2 and c > 1 else 0 for _, c, w in table
+        1 << (len(w) - w.count(1) - 1) if c % 8 == 0 or c % 2 and c > 1 else 0 for c, w in zip(cs, powers)
     ]
-    rows = sorted(zip([r for r, _, _ in table], classes, primitive, _divisor_sums(classes, fM)))
-    # tau and omega of M^2 D, whose primes are those of M D
-    eM, eD = dict(fM.factors), dict(fD.factors)
-    primes = eM.keys() | eD.keys()
-    tau = prod(2 * eM.get(p, 0) + eD.get(p, 0) + 1 for p in primes)
+    rows = tuple(sorted(zip(rs, classes, primitive, _divisor_sums(classes, fM))))
+    # twice the class bound is tau(M^2 D): a prime p^e of M adds 2e + 1 exponents, or 2e + 2 with p | D
     return CountReport(
-        spec=spec,
-        rows=tuple(rows),
-        total=sum(classes),
-        square_classes=1 if spec.D == 1 else 0,
-        bound=Fraction(twice_bound, 2),
-        diagnostic=tau / sqrt(len(primes)) if primes else 0.0,
+        spec,
+        rows,
+        sum(classes),
+        1 if spec.D == 1 else 0,
+        Fraction(twice_bound, 2),
+        twice_bound / sqrt(len(primes)) if primes else 0.0,
     )

@@ -428,8 +428,10 @@ def test_enumeration_skips_only_the_squarefree_check(monkeypatch):
         patch.setattr(classes, "is_squarefree", never)
         lattices = enumerate_iwr(spec)
     assert lattices == enumerate_iwr_via_mn(spec)
-    # every other check of the constructor still runs on the private path
-    make = SimilarityClass._of_squarefree_D
+    # every other check of both constructors still runs on the bulk path
+    def make(p, r, q, D, k=1):
+        return classes._lattices_of_squarefree_D(D, [(p, r, q, k)])[0]
+
     for args, message in (
         ((1, 1, 2, True), "D must be an int, got True"),
         ((1, 0, 2, 3), "coordinates out of range: SimilarityClass(p=1, r=0, q=2, D=3)"),
@@ -441,6 +443,10 @@ def test_enumeration_skips_only_the_squarefree_check(monkeypatch):
             with pytest.raises(ValueError) as info:
                 build(*args)
             assert str(info.value) == message
+    for k in (0, True, 1.5):
+        for build in (lambda k: make(1, 1, 2, 3, k), lambda k: IwrLattice(SimilarityClass(1, 1, 2, 3), k)):
+            with pytest.raises(ValueError, match=f"k must be a positive int, got {k!r}$"):
+                build(k)
 
 
 # --- one split table per determinant ------------------------------------------
