@@ -324,18 +324,21 @@ def count_report(spec: DeterminantSpec) -> CountReport:
     fM, fD = factorize(spec.M), factorize(spec.D)
     twice_bound, (primes, rs, cs, powers), splits = _split_table(fM, fD)
     classes = [len(us) for _, us in splits]
+    total = sum(classes)
     # primitive p > 0 solutions of q^2 - p^2 = c, no angle window: one per
     # unordered coprime split {a, b} of c or c/4 with a < b, so 2^(omega(c) - 1)
     # for c odd above 1 or 8 | c, and none else (c = 2^j: 1 from j = 3 on)
     primitive = [
         1 << (len(w) - w.count(1) - 1) if c % 8 == 0 or c % 2 and c > 1 else 0 for c, w in zip(cs, powers)
     ]
-    rows = tuple(sorted(zip(rs, classes, primitive, _divisor_sums(classes, fM))))
+    # the divisor sums of counts that are all 0 are the counts themselves
+    windowed = _divisor_sums(classes, fM) if total else classes
+    rows = tuple(sorted(zip(rs, classes, primitive, windowed)))
     # twice the class bound is tau(M^2 D): a prime p^e of M adds 2e + 1 exponents, or 2e + 2 with p | D
     return CountReport(
         spec,
         rows,
-        sum(classes),
+        total,
         1 if spec.D == 1 else 0,
         Fraction(twice_bound, 2),
         twice_bound / sqrt(len(primes)) if primes else 0.0,
