@@ -4,6 +4,10 @@ A similarity class is an integer tuple (p, r, q, D) with D squarefree,
 p^2 + D r^2 = q^2, gcd(p, q) = 1 and 2p <= q.  The minimal lattice of the
 class has Gram matrix [[q, p], [p, q]]; scaling by k gives every integral
 well-rounded lattice in the class, with minimum k*q and determinant k*r*sqrt(D).
+
+Enumeration builds its lattices in bulk, through _lattices_of_squarefree_D:
+one loop that runs every constructor check but the re-check that D is
+squarefree, without a constructor call per object.
 """
 
 from __future__ import annotations

@@ -18,25 +18,29 @@ the tau(c) divisors, and gcd(p, q) = 1 holds by construction.
 Each call factors M and D once and checks the class budget on integers:
 _class_bound returns twice the bound, which is compared with twice the
 budget, so a Fraction is built only for CountReport.bound and for the
-refusal's message.  One table lists (r, r^2 D, the power of each prime of
-M D in r^2 D) for every r | M in mixed-radix order over the primes of M,
-read off the two factorizations.  enumerate_iwr and count_report share one
-step, _split_table, which builds the table and runs _splits on each row.
-It keeps the table and the splits of the latest determinant in a one-entry
-memo keyed by (M, D), so a count_report right after an enumerate_iwr of the
-same determinant, or the other way round, reads the class counts instead of
-splitting every row again.  The memo holds one determinant's table, capped
-by the class budget like the call itself, and is replaced whole by one
-assignment.  Factoring and the budget check still run on every call, before
-the memo is read.  enumerate_iwr sorts plain (minimum, q, p, r, k) tuples of
-the rows that split, and builds the lattices only after that sort.  Its
-classes skip only the constructor's re-check that D is squarefree, which
-DeterminantSpec already made.
+refusal's message.  Twice the bound is also tau(M^2 D), which count_report's
+diagnostic reads instead of a product over the primes.  One table holds three
+columns over the r | M: r, c = r^2 D, and the power of each prime of M D in
+c.  itertools.product builds them, with no Python step per row, from one axis
+per prime (its powers in r, and in c), the last prime fastest.
+enumerate_iwr and count_report share one step, _split_table, which builds
+the table and maps _splits over its rows.  It keeps the table and the splits
+of the latest determinant in a one-entry memo keyed by (M, D), so a
+count_report right after an enumerate_iwr of the same determinant, or the
+other way round, reads the class counts instead of splitting every row
+again.  The memo holds one determinant's table, capped by the class budget
+like the call itself, and is replaced whole by one assignment.  Factoring
+and the budget check still run on every call, before the memo is read.
+enumerate_iwr sorts plain (minimum, q, p, r, k) tuples of the rows that
+split, and builds the lattices only after that sort, in one call of
+classes._lattices_of_squarefree_D: every constructor check runs but the
+re-check that D is squarefree, which DeterminantSpec already made.
 
 The windowed count of r (the window pairs without the gcd condition) needs
 no second scan: a window pair with gcd g is g times a class of r/g, and
 g | r because D is squarefree, so it is the divisor sum of the class counts,
-one prefix sum along each prime axis of the table.  The answers for one r
+one prefix sum along each prime axis of the table (none when every count
+is 0, as for 2 in 5 census determinants).  The answers for one r
 are views of the determinant-level calls on DeterminantSpec(r, D): its
 classes are the lattices of enumerate_iwr with cls.r == r, and its counts
 are the row of r in count_report.
@@ -55,8 +59,8 @@ to the test oracles.
 from __future__ import annotations
 
 from itertools import product, repeat
-from operator import itemgetter
 from math import isqrt, prod, sqrt
+from operator import itemgetter
 
 from .arith import Factorization, _Value, factorize
 from .classes import DeterminantSpec, IwrLattice, _lattices_of_squarefree_D
