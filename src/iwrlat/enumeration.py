@@ -50,7 +50,9 @@ the memo, refuses a D that is not squarefree as DeterminantSpec does, and
 ties the class counts to a scan of every divisor in the window, with the
 parity test restated: c odd lists the divisors of c, 4 | c those of c/4,
 and c = 2 mod 4 none.  It scans only the rows its two identities weigh: r
-itself, and the g | r with mu(r/g) != 0.  It stays in the library because
+itself, and the r/g for the squarefree g | r.  Each of their n divides the
+n of r, so it lists the divisors of r's n once, and each row tests those in
+its own window, found by bisection.  It stays in the library because
 the benchmark's checker (perfbench/verify.py) calls it on every census
 answer; once that checker reads an independent route instead, it can move
 to the test oracles.
@@ -58,6 +60,7 @@ to the test oracles.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import product, repeat
 from math import isqrt, prod, sqrt
 from operator import itemgetter
@@ -118,7 +121,7 @@ def _divisor_table(fM: Factorization, fD: Factorization) -> Table:
     Rows are in the order of itertools.product over each prime's powers, the
     last prime fastest: r = prod p_i^a_i sits at index sum a_i s_i, where s_i
     is the product of (e_j + 1) over the primes p_j of M after p_i.  So M is
-    the last row, and r/g sits at the last index minus the index of g.
+    the last row.
     The caller checks the budget (_budgeted_bound) before building it.
     """
     eM, eD = dict(fM.factors), dict(fD.factors)
@@ -212,16 +215,13 @@ def _split_table(fM: Factorization, fD: Factorization) -> tuple[int, Table, list
     return twice_bound, table, splits
 
 
-def _window_count(c: int, primes: tuple[int, ...], powers: tuple[int, ...]) -> int:
-    """Divisors b of c with c < b^2 <= 3c and c/b of b's parity: the window pairs, no gcd filter.
+def _window_divisors(c: int, primes: tuple[int, ...], powers: tuple[int, ...]) -> list[int]:
+    """The divisors of n = c (c odd) or c/4 (4 | c) up to isqrt(3n), ascending; none when c = 2 mod 4.
 
-    b and c/b share their parity only when c is odd, or when 4 | c and
-    b = 2b' with b' | c/4, and then c/4 < b'^2 <= 3c/4.  So the count is
-    that of every divisor of n = c or c/4 in n's window, and 0 when
-    c = 2 mod 4.
+    powers is the row's power of each prime in c.
     """
     if c % 4 == 2:
-        return 0
+        return []
     if c % 2 == 0:
         c //= 4
         powers = (powers[0] // 4,) + powers[1:]  # the power of 2, the smallest prime
@@ -235,8 +235,24 @@ def _window_count(c: int, primes: tuple[int, ...], powers: tuple[int, ...]) -> i
                 pks.append(pk)
                 pk *= p
             ds += [d * pk for pk in pks for d in ds if d * pk <= top]
-    low = isqrt(c)
-    return len([b for b in ds if b > low])
+    ds.sort()
+    return ds
+
+
+def _window_count(c: int, divisors: list[int]) -> int:
+    """Divisors b of c with c < b^2 <= 3c and c/b of b's parity: the window pairs, no gcd filter.
+
+    b and c/b share their parity only when c is odd, or when 4 | c and
+    b = 2b' with b' | c/4, and then c/4 < b'^2 <= 3c/4.  So the count is
+    that of every divisor of n = c or c/4 in n's window, and 0 when
+    c = 2 mod 4.  divisors is ascending and holds every divisor of n up to
+    isqrt(3n): each one in the window is tested against n.
+    """
+    if c % 4 == 2:
+        return 0
+    n = c // 4 if c % 2 == 0 else c
+    window = divisors[bisect_right(divisors, isqrt(n)) : bisect_right(divisors, isqrt(3 * n))]
+    return len([b for b in window if n % b == 0])
 
 
 def mobius_identity_check(r: int, D: int) -> bool:
@@ -246,19 +262,21 @@ def mobius_identity_check(r: int, D: int) -> bool:
     r/g, and back via Moebius.  The class counts come from the coprime
     splits, the windowed counts from the scan over every divisor, so the
     identities tie the two routes together.  The first identity scans only the row of r; the
-    second scans only the rows g with mu(r/g) != 0, since the others add 0.
+    second scans only the rows r/g with mu(g) != 0, since the others add 0.
     """
     fr, (primes, _, cs, powers) = _r_table(r, D)
     classes = [len(us) for _, us in map(_splits, cs, repeat(primes), powers)]
-    n_top = _window_count(cs[-1], primes, powers[-1])
+    c_top = cs[-1]
+    divisors = _window_divisors(c_top, primes, powers[-1])
+    n_top = _window_count(c_top, divisors)
     if sum(classes) != n_top:
         return False
-    # mu of each row's g, in the table's order: the product of 1, -1, 0, ..., 0 along each prime p^a of r
-    mu = list(map(prod, product(*[[1, -1] + [0] * (a - 1) for _, a in fr.factors])))
-    # r/g sits at top - i when g sits at i; the top row, mu(1) = 1, is n_top
-    inverted = n_top + sum(
-        m * _window_count(c, primes, w) for m, c, w in zip(reversed(mu), cs[:-1], powers) if m
-    )
+    # mu(g) and g^2 for each squarefree g | r: the row of r/g has c = c_top / g^2
+    weighed = [(1, 1)]
+    for p, _ in fr.factors:
+        weighed += [(-m, g2 * p * p) for m, g2 in weighed]
+    # the top row, g = 1, is n_top
+    inverted = n_top + sum(m * _window_count(c_top // g2, divisors) for m, g2 in weighed[1:])
     return inverted == classes[-1]
 
 
