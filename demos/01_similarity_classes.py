@@ -8,15 +8,9 @@ packs the whole similarity class into four integers (p, r, q, D).
 """
 
 from fractions import Fraction
+from math import gcd
 
-from iwrlat import (
-    GramMatrix,
-    IwrLattice,
-    MnPair,
-    SimilarityClass,
-    class_from_mn,
-    classify_gram,
-)
+from iwrlat import GramMatrix, IwrLattice, SimilarityClass, classify_gram
 
 hexagonal = SimilarityClass(1, 1, 2, 3)
 square = SimilarityClass(0, 1, 1, 1)
@@ -42,8 +36,11 @@ print(
 print()
 print("Generator pairs: coprime (m, n) in the band D n^2 <= 3 m^2 <= 9 D n^2")
 print("produce every class of type D.  A few of type 5:")
+D = 5
 for m, n in [(2, 1), (3, 1), (5, 2), (5, 3)]:
-    cls = class_from_mn(MnPair(m, n, 5))
+    # (|m^2 - D n^2|, 2mn, m^2 + D n^2) divided by gcd(m, D), and by 2 when D, m and n are all odd
+    g = gcd(m, D) * (2 if D * m * n % 2 else 1)
+    cls = SimilarityClass(abs(m * m - D * n * n) // g, 2 * m * n // g, (m * m + D * n * n) // g, D)
     print(f"  (m,n) = ({m},{n})  ->  {cls.triple()}  cos = {Fraction(cls.p, cls.q)}")
 
 print()

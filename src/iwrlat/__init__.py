@@ -24,7 +24,9 @@ frozen dataclasses -> slotted classes: `-X importtime` of `import iwrlat`
 subcommands, 112.9 -> 95.4 ms.  Enumeration refuses a determinant whose class
 bound exceeds 2^20, and the (m, n) route of `optimize` and
 `enumerate_iwr_via_mn` one whose scan may exceed 2^30 steps, with
-ValueError, before doing the work.
+ValueError, before doing the work; `factorize` refuses a composite that
+Pollard rho cannot split in 2^22 steps.  The route's pairs and their
+normalization are private to `optimize`.
 """
 
 from importlib import import_module
@@ -37,15 +39,12 @@ __version__ = "0.1.0"
 _LAYERS = {
     "arith": ("Factorization", "factorize", "is_prime", "is_squarefree", "squarefree_part"),
     "classes": (
-        "DeterminantSpec", "GramMatrix", "IwrLattice", "MnPair", "NotIntegralError",
-        "NotPositiveDefiniteError", "NotWellRoundedError", "SimilarityClass", "class_from_mn",
-        "classify_gram", "e_exponent",
+        "DeterminantSpec", "GramMatrix", "IwrLattice", "NotIntegralError", "NotPositiveDefiniteError",
+        "NotWellRoundedError", "SimilarityClass", "classify_gram",
     ),
     "conic": ("MismatchedTypeError", "compose"),
     "enumeration": ("CountReport", "count_report", "enumerate_iwr", "mobius_identity_check"),
-    "optimize": (
-        "InadmissibleDeterminantError", "OptimizeResult", "admissible_pairs", "enumerate_iwr_via_mn", "optimize",
-    ),
+    "optimize": ("InadmissibleDeterminantError", "OptimizeResult", "enumerate_iwr_via_mn", "optimize"),
     "zeta": (
         "MonotonicityReport", "ZetaResult", "epstein_bounds", "epstein_zeta", "monotonicity_check",
         "packing_density", "snr",

@@ -4,6 +4,9 @@ A similarity class is an integer tuple (p, r, q, D) with D squarefree,
 p^2 + D r^2 = q^2, gcd(p, q) = 1 and 2p <= q.  The minimal lattice of the
 class has Gram matrix [[q, p], [p, q]]; scaling by k gives every integral
 well-rounded lattice in the class, with minimum k*q and determinant k*r*sqrt(D).
+The classes of a determinant come from enumeration's coprime splits, and
+from the paper's coprime pairs (m, n), a parameterization private to
+optimize.
 
 Enumeration builds its lattices in bulk, through _lattices_of_squarefree_D:
 one loop that runs every constructor check but the re-check that D is
@@ -23,12 +26,9 @@ __all__ = [
     "NotPositiveDefiniteError",
     "NotWellRoundedError",
     "SimilarityClass",
-    "MnPair",
     "IwrLattice",
     "GramMatrix",
     "DeterminantSpec",
-    "e_exponent",
-    "class_from_mn",
     "classify_gram",
 ]
 
@@ -93,8 +93,6 @@ class SimilarityClass(_Value):
 
     # enumeration results unpickle classes in bulk: fields named, loads 14% faster than through arith._Value
     def __setstate__(self, values):
-        if values.__class__ is dict:  # pickled while these classes were dataclasses
-            values = values["p"], values["r"], values["q"], values["D"]
         p, r, q, D = values
         setattr_ = object.__setattr__
         setattr_(self, "p", p)
@@ -104,31 +102,6 @@ class SimilarityClass(_Value):
 
     def triple(self) -> tuple[int, int, int]:
         return (self.p, self.r, self.q)
-
-
-class MnPair(_Value):
-    """Coprime generator pair (m, n) for classes of type D.
-
-    The band D n^2 <= 3 m^2 and m^2 <= 3 D n^2 keeps the generated angle
-    inside [pi/3, pi/2].
-    """
-
-    __slots__ = ("m", "n", "D")
-
-    def __init__(self, m: int, n: int, D: int):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "D", D)
-        if self.m < 1 or self.n < 1 or self.D < 1:
-            raise ValueError(f"m, n, D must be positive: {self}")
-        if not is_squarefree(self.D):
-            raise ValueError(f"D must be squarefree >= 1, got {self.D}")
-        if gcd(self.m, self.n) != 1:
-            raise ValueError(f"gcd(m, n) != 1 for {self}")
-        if self.D * self.n * self.n > 3 * self.m * self.m:
-            raise ValueError(f"pair below band (D n^2 > 3 m^2): {self}")
-        if self.m * self.m > 3 * self.D * self.n * self.n:
-            raise ValueError(f"pair above band (m^2 > 3 D n^2): {self}")
 
 
 class DeterminantSpec(_Value):
@@ -169,8 +142,6 @@ class IwrLattice(_Value):
         return hash((self.cls, self.k))
 
     def __setstate__(self, values):
-        if values.__class__ is dict:  # pickled while these classes were dataclasses
-            values = values["cls"], values["k"]
         cls, k = values
         object.__setattr__(self, "cls", cls)
         object.__setattr__(self, "k", k)
@@ -228,25 +199,6 @@ def _lattices_of_squarefree_D(D: int, rows) -> list[IwrLattice]:
         lattice._init(cls, k)
         out.append(lattice)
     return out
-
-
-def e_exponent(m: int, n: int, D: int) -> int:
-    """Normalization exponent: 0 if 2 | D, or if D is odd and mn is even; else 1."""
-    if D % 2 == 0 or ((D + 1) % 2 == 0 and (m * n) % 2 == 0):
-        return 0
-    return 1
-
-
-def class_from_mn(pair: MnPair) -> SimilarityClass:
-    """Class generated by a coprime pair: divide (|m^2-Dn^2|, 2mn, m^2+Dn^2) by 2^e*gcd(m,D)."""
-    m, n, D = pair.m, pair.n, pair.D
-    g = (2 ** e_exponent(m, n, D)) * gcd(m, D)
-    num_p = abs(m * m - D * n * n)
-    num_r = 2 * m * n
-    num_q = m * m + D * n * n
-    if num_p % g or num_r % g or num_q % g:
-        raise ValueError(f"normalizer {g} does not divide the raw triple for {pair}")
-    return SimilarityClass(num_p // g, num_r // g, num_q // g, D)
 
 
 def _mat_mul(u, v):

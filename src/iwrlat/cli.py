@@ -82,15 +82,20 @@ def _flatten_record(rec: dict) -> dict:
     return flat
 
 
-def _emit_records_csv(records: list[dict]) -> None:
+def _emit_csv(columns, rows: list[dict]) -> None:
+    """A header of column names, then each row's values of those columns; None is written empty."""
     import csv
 
+    writer = csv.writer(sys.stdout)
+    writer.writerow(columns)
+    writer.writerows([row[name] for name in columns] for row in rows)
+
+
+def _emit_records_csv(records: list[dict]) -> None:
     flats = [_flatten_record(r) for r in records]
     base = ["p", "r", "q", "D", "k", "min_norm", "det_M", "det_D", "cos_theta", "gram"]
     extra = [k for k in ("packing_density", "snr_db") if flats and k in flats[0]]
-    writer = csv.DictWriter(sys.stdout, fieldnames=base + extra)
-    writer.writeheader()
-    writer.writerows(flats)
+    _emit_csv(base + extra, flats)
 
 
 def _parse_gram(text: str) -> GramMatrix:
@@ -243,19 +248,25 @@ def _table1_rows() -> list[dict]:
 def _cmd_table1(args) -> int:
     rows = _table1_rows()
     if args.format == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["M", "D", "min_norm", "p", "r", "q", "k", "scale_num", "scale_den", "discrepancy"])
-        for row in rows:
-            c = row["class"]
-            writer.writerow(
-                [row["M"], row["D"], row["min_norm"], c["p"], c["r"], c["q"], row["k"],
-                 row["scale_num"], row["scale_den"], row["discrepancy"] or ""]
-            )
+        columns = ["M", "D", "min_norm", "p", "r", "q", "k", "scale_num", "scale_den", "discrepancy"]
+        _emit_csv(columns, [{**row, **row["class"]} for row in rows])
     else:
         _emit_json(rows)
     return 0
+
+
+def _add_determinant(sub) -> None:
+    sub.add_argument("--M", type=int, required=True)
+    sub.add_argument("--D", type=int, required=True)
+
+
+def _add_lattice(sub, *required_floats: str) -> None:
+    """--p, --q, --D and --k of a lattice, then each flag named in required_floats, then --eps."""
+    for name in ("p", "q", "D", "k"):
+        sub.add_argument(f"--{name}", type=int, required=True)
+    for name in required_floats:
+        sub.add_argument(f"--{name}", type=float, required=True)
+    sub.add_argument("--eps", type=float, default=1e-6)
 
 
 def _add_format(sub) -> None:
@@ -280,40 +291,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = subs.add_parser("enumerate", help="list all lattices with determinant M*sqrt(D)")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--D", type=int, required=True)
+    _add_determinant(p)
     p.add_argument("--include-square-class", action="store_true")
     _add_extras(p)
     _add_format(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = subs.add_parser("count", help="per-divisor counting report for M*sqrt(D)")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--D", type=int, required=True)
+    _add_determinant(p)
     p.set_defaults(func=_cmd_count)
 
     p = subs.add_parser("optimize", help="lattice of maximal minimum norm for M*sqrt(D)")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--D", type=int, required=True)
+    _add_determinant(p)
     _add_extras(p)
     _add_format(p)
     p.set_defaults(func=_cmd_optimize)
 
     p = subs.add_parser("zeta", help="Epstein zeta with a certified error bound")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--eps", type=float, default=1e-6)
+    _add_lattice(p, "s")
     p.set_defaults(func=_cmd_zeta)
 
     p = subs.add_parser("snr", help="interference SNR in dB at s = 2")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=float, default=1e-6)
+    _add_lattice(p)
     p.set_defaults(func=_cmd_snr)
 
     p = subs.add_parser("compose", help="compose two classes of the same type D")

@@ -1,13 +1,14 @@
 """The (m, n) route through IWR(M*sqrt(D)), and the lattice of maximal minimum norm on it.
 
-The route scans the finite set of coprime pairs (m, n) inside the angle band
-whose generated r divides M (admissible_pairs), and keeps one class per
-triple.  enumerate_iwr_via_mn lists those classes as lattices, an independent
-check on enumeration's coprime splits; optimize takes their argmax.  The
-minimum of the generated lattice is M*q/r = M*(m^2 + D n^2)/(2mn)
-(normalizer cancels), so maximizing the exact rational objective
-(m^2 + D n^2)/(m n) maximizes the minimum norm, equivalently the packing
-density.
+The route is the paper's parameterization of p^2 + D r^2 = q^2: a coprime
+pair (m, n) inside the angle band D n^2 <= 3 m^2 <= 9 D n^2 gives the class
+(|m^2 - D n^2|, 2mn, m^2 + D n^2) / g, where g = 2^e gcd(m, D) and e = 1
+exactly when D, m and n are all odd.  _mn_triples scans the finite set of
+pairs whose r divides M and keeps one triple per class; enumerate_iwr_via_mn
+lists those classes as lattices, sorted as enumerate_iwr sorts them, an
+independent check on enumeration's coprime splits.  optimize reads the top
+run of that list: the minimum of the generated lattice is
+M*q/r = M*(m^2 + D n^2)/(2mn), so the largest minimum is the densest packing.
 """
 
 from __future__ import annotations
@@ -15,21 +16,20 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, isqrt
 
-from .classes import DeterminantSpec, IwrLattice, MnPair, SimilarityClass, class_from_mn, e_exponent
+from .classes import DeterminantSpec, IwrLattice, SimilarityClass
 
 __all__ = [
     "InadmissibleDeterminantError",
     "OptimizeResult",
-    "admissible_pairs",
     "enumerate_iwr_via_mn",
     "optimize",
 ]
 
 
 # The most steps, by n_max^2 * isqrt(3 D), that one (m, n) scan may take.  A
-# step costs about 90 ns (2 cores, Python 3.11.7), so a scan at the budget
-# takes about 100 s; the largest determinant of the query benchmark,
-# 3 * 10^5 * sqrt(29), takes 2.5 * 10^7 units and 2.3 s.
+# step costs about 50 ns (2 cores, Python 3.11.7), so a scan at the budget
+# takes about 50 s; the largest determinant of the query benchmark,
+# 3 * 10^5 * sqrt(29), takes 2.5 * 10^7 units and 1.2 s.
 _STEP_BUDGET = 2**30
 
 
@@ -42,15 +42,15 @@ class InadmissibleDeterminantError(ValueError):
 OptimizeResult = namedtuple("OptimizeResult", ("lattice", "maximizers"))
 
 
-def admissible_pairs(spec: DeterminantSpec) -> list[MnPair]:
-    """All coprime (m, n) in the band whose generated r divides M.
+def _mn_triples(spec: DeterminantSpec) -> set[tuple[int, int, int]]:
+    """The class triples (p, r, q) of the coprime (m, n) in the band whose r divides M.
 
-    Loop bounds: r = 2mn/(2^e gcd(m, D)) | M and 2^e gcd(m, D) <= 2D give
-    mn <= D*M; combining with the band D n^2 <= 3 m^2 <= 9 D n^2 yields
-    m^4 <= 3 D^3 M^2 and n^4 <= 3 D M^2.  Within those bounds the band and
-    divisibility tests below are exact, so no pair is missed.  Raises
-    ValueError, before the scan, when n_max^2 * isqrt(3 D), a bound on its
-    steps, exceeds _STEP_BUDGET.
+    Loop bounds: r = 2mn/g | M and g <= 2D give mn <= D*M; combining with
+    the band D n^2 <= 3 m^2 <= 9 D n^2 yields m^4 <= 3 D^3 M^2 and
+    n^4 <= 3 D M^2.  Within those bounds the band and divisibility tests
+    below are exact, so no pair is missed.  Raises ValueError, before the
+    scan, when n_max^2 * isqrt(3 D), a bound on its steps, exceeds
+    _STEP_BUDGET.
     """
     M, D = spec.M, spec.D
     cap = D * M
@@ -58,39 +58,30 @@ def admissible_pairs(spec: DeterminantSpec) -> list[MnPair]:
     steps = n_max * n_max * isqrt(3 * D)
     if steps > _STEP_BUDGET:
         raise ValueError(f"the (m, n) scan for {M}*sqrt({D}) may take {steps} steps, over the budget of {_STEP_BUDGET}")
-    pairs = []
+    triples = set()
     for n in range(1, n_max + 1):
         dnn = D * n * n
-        m = isqrt(dnn // 3)
-        while 3 * m * m < dnn or m < 1:
-            m += 1
-        m_hi = min(isqrt(3 * dnn), cap // n)
-        while m <= m_hi:
+        m_lo = isqrt(dnn // 3)
+        while 3 * m_lo * m_lo < dnn or m_lo < 1:
+            m_lo += 1
+        for m in range(m_lo, min(isqrt(3 * dnn), cap // n) + 1):
             if gcd(m, n) == 1:
-                den = (2 ** e_exponent(m, n, D)) * gcd(m, D)
-                r = 2 * m * n // den
+                g = gcd(m, D) << (D & m & n & 1)
+                r = 2 * m * n // g
                 if M % r == 0:
-                    pairs.append(MnPair(m, n, D))
-            m += 1
-    return pairs
-
-
-def _mn_classes(spec: DeterminantSpec) -> list[SimilarityClass]:
-    """The classes the admissible pairs generate, one per triple, in the order of their first pair."""
-    classes: dict[tuple[int, int, int], SimilarityClass] = {}
-    for pair in admissible_pairs(spec):
-        cls = class_from_mn(pair)
-        classes.setdefault(cls.triple(), cls)
-    return list(classes.values())
+                    mm = m * m
+                    triples.add((abs(mm - dnn) // g, r, (mm + dnn) // g))
+    return triples
 
 
 def enumerate_iwr_via_mn(spec: DeterminantSpec) -> list[IwrLattice]:
     """Same list as enumerate_iwr, generated from coprime (m, n) pairs.
 
-    Independent route: admissible pairs -> classes -> dedup; used to
-    cross-check enumeration's coprime splits.
+    Each lattice is built by the public constructors, every check included,
+    so this route shares no construction step with enumeration.
     """
-    out = [IwrLattice(cls, spec.M // cls.r) for cls in _mn_classes(spec)]
+    M, D = spec.M, spec.D
+    out = [IwrLattice(SimilarityClass(p, r, q, D), M // r) for p, r, q in _mn_triples(spec)]
     out.sort(key=lambda lat: (lat.minimum, lat.cls.q, lat.cls.p))
     return out
 
@@ -98,21 +89,14 @@ def enumerate_iwr_via_mn(spec: DeterminantSpec) -> list[IwrLattice]:
 def optimize(spec: DeterminantSpec) -> OptimizeResult:
     """Lattice of maximal minimum norm with determinant M*sqrt(D).
 
-    An argmax over every class the admissible pairs generate.  Ties (not
-    observed: classes sharing a determinant have distinct minima) would all
-    be reported in maximizers, with the lattice taken from the
-    lexicographically smallest (q, p).
+    The trailing run of enumerate_iwr_via_mn, whose order is (minimum, q, p):
+    maximizers are its classes, in (q, p) order, and the lattice is its
+    first.  Ties (not observed: classes sharing a determinant have distinct
+    minima) would all be reported in maximizers.
     """
-    # the private scan, not enumerate_iwr_via_mn, so that a tracer wrapping the
-    # public functions sees class_from_mn called under optimize itself
-    classes = _mn_classes(spec)
-    if not classes:
+    lattices = enumerate_iwr_via_mn(spec)
+    if not lattices:
         raise InadmissibleDeterminantError(f"IWR({spec.M}*sqrt({spec.D})) is empty")
-    best = max((spec.M // c.r) * c.q for c in classes)
-    maximizers = sorted(
-        (c for c in classes if (spec.M // c.r) * c.q == best),
-        key=lambda c: (c.q, c.p),
-    )
-    lat = IwrLattice(maximizers[0], spec.M // maximizers[0].r)
-    return OptimizeResult(lat, maximizers)
-
+    best = lattices[-1].minimum
+    top = [lat for lat in lattices if lat.minimum == best]
+    return OptimizeResult(top[0], [lat.cls for lat in top])

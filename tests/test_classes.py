@@ -10,17 +10,14 @@ from iwrlat.classes import (
     DeterminantSpec,
     GramMatrix,
     IwrLattice,
-    MnPair,
     NotIntegralError,
     NotPositiveDefiniteError,
     NotWellRoundedError,
     SimilarityClass,
     _gauss_reduce,
-    class_from_mn,
     classify_gram,
-    e_exponent,
 )
-from iwrlat.enumeration import CountReport, count_report
+from iwrlat.enumeration import CountReport
 
 HEX = SimilarityClass(1, 1, 2, 3)
 SQUARE = SimilarityClass(0, 1, 1, 1)
@@ -40,37 +37,6 @@ def test_similarity_class_validation():
         SimilarityClass(0, 1, 1, 3)  # p = 0 forces q^2 = D r^2, so D = 1 only
     assert BIG.triple() == (29, 24, 61)
     assert SQUARE.triple() == (0, 1, 1)
-
-
-def test_mn_pair_validation():
-    MnPair(1, 1, 3)
-    MnPair(3, 1, 3)  # endpoint m^2 = 3 D n^2 allowed
-    with pytest.raises(ValueError):
-        MnPair(2, 4, 5)  # not coprime
-    with pytest.raises(ValueError):
-        MnPair(1, 2, 5)  # below the band: 3 m^2 < D n^2
-    with pytest.raises(ValueError):
-        MnPair(9, 1, 5)  # above the band: m^2 > 3 D n^2
-
-
-def test_e_exponent_examples():
-    assert e_exponent(1, 1, 3) == 1
-    assert e_exponent(2, 1, 5) == 0
-    assert e_exponent(1, 1, 2) == 0
-
-
-def test_class_from_mn_examples():
-    assert class_from_mn(MnPair(1, 1, 3)).triple() == (1, 1, 2)
-    assert class_from_mn(MnPair(15, 4, 5)).triple() == (29, 24, 61)
-    assert class_from_mn(MnPair(1, 1, 1)).triple() == (0, 1, 1)
-
-
-def test_class_from_mn_reciprocal_pairs_collapse():
-    # m m' = D n n' pairs the two preimages of one class
-    a = class_from_mn(MnPair(3, 2, 5))
-    b = class_from_mn(MnPair(10, 3, 5))
-    assert a == b == SimilarityClass(11, 12, 29, 5)
-    assert class_from_mn(MnPair(3, 1, 3)) == class_from_mn(MnPair(1, 1, 3)) == HEX
 
 
 def _angle(cls):
@@ -188,7 +154,6 @@ VALUES = [
     (Factorization, {"value": 360, "factors": ((2, 3), (3, 2), (5, 1))},
      "Factorization(value=360, factors=((2, 3), (3, 2), (5, 1)))"),
     (SimilarityClass, {"p": 29, "r": 24, "q": 61, "D": 5}, "SimilarityClass(p=29, r=24, q=61, D=5)"),
-    (MnPair, {"m": 15, "n": 4, "D": 5}, "MnPair(m=15, n=4, D=5)"),
     (DeterminantSpec, {"M": 24, "D": 5}, "DeterminantSpec(M=24, D=5)"),
     (IwrLattice, {"cls": HEX, "k": 2}, "IwrLattice(cls=SimilarityClass(p=1, r=1, q=2, D=3), k=2)"),
     (GramMatrix, {"a": 61, "b": 29, "c": 61}, "GramMatrix(a=61, b=29, c=61)"),
@@ -248,25 +213,6 @@ def test_value_class_pickles_and_copies_without_init(cls, fields, text, monkeypa
         assert type(again) is cls and again == obj and repr(again) == text
 
 
-# (IwrLattice(SimilarityClass(1, 1, 2, 3), 2), count_report(DeterminantSpec(3, 3))) as
-# pickled while the value classes were frozen dataclasses: their state is a dict
-DATACLASS_PICKLE = bytes.fromhex(
-    "80049544010000000000008c0e6977726c61742e636c6173736573948c0a4977724c6174746963659493942981947d94"
-    "288c03636c739468008c0f53696d696c6172697479436c6173739493942981947d94288c0170944b018c0172944b018c"
-    "0171944b028c0144944b0375628c016b944b0275628c126977726c61742e656e756d65726174696f6e948c0b436f756e"
-    "745265706f72749493942981947d94288c04737065639468008c0f44657465726d696e616e7453706563949394298194"
-    "7d94288c014d944b03680d4b0375628c04726f777394284b014b014b014b017494284b034b004b014b01749486948c05"
-    "746f74616c944b018c0e7371756172655f636c6173736573944b008c05626f756e64948c096672616374696f6e73948c"
-    "084672616374696f6e9493944b024b01869452948c0a646961676e6f7374696394474010000000000000756286942e"
-)
-
-
-def test_value_classes_unpickle_from_their_dataclass_form():
-    lattice, report = pickle.loads(DATACLASS_PICKLE)
-    assert lattice == IwrLattice(SimilarityClass(1, 1, 2, 3), 2)
-    assert report == count_report(DeterminantSpec(3, 3))
-
-
 # each of VALUES as pickled (protocol 4) by _Value.__reduce__ at 9eb1e29: __newobj__ and a
 # tuple of the fields, the form that pickles written before a change of the format hold
 SLOT_TUPLE_PICKLES = {
@@ -276,9 +222,6 @@ SLOT_TUPLE_PICKLES = {
     "SimilarityClass":
         "80049535000000000000008c0e6977726c61742e636c6173736573948c0f53696d696c6172697479436c617373949394"
         "298194284b1d4b184b3d4b057494622e",
-    "MnPair":
-        "80049529000000000000008c0e6977726c61742e636c6173736573948c064d6e506169729493942981944b0f4b044b05"
-        "8794622e",
     "DeterminantSpec":
         "80049530000000000000008c0e6977726c61742e636c6173736573948c0f44657465726d696e616e7453706563949394"
         "2981944b184b058694622e",
@@ -318,11 +261,6 @@ INVALID = [
     (SimilarityClass, (3, 3, 6, 3), ValueError, "gcd(p, q) != 1 for SimilarityClass(p=3, r=3, q=6, D=3)"),
     (SimilarityClass, (3, 4, 5, 1), ValueError,
      "2p > q for SimilarityClass(p=3, r=4, q=5, D=1) (angle outside [pi/3, pi/2])"),
-    (MnPair, (0, 1, 3), ValueError, "m, n, D must be positive: MnPair(m=0, n=1, D=3)"),
-    (MnPair, (1, 1, 4), ValueError, "D must be squarefree >= 1, got 4"),
-    (MnPair, (2, 4, 5), ValueError, "gcd(m, n) != 1 for MnPair(m=2, n=4, D=5)"),
-    (MnPair, (1, 2, 5), ValueError, "pair below band (D n^2 > 3 m^2): MnPair(m=1, n=2, D=5)"),
-    (MnPair, (9, 1, 5), ValueError, "pair above band (m^2 > 3 D n^2): MnPair(m=9, n=1, D=5)"),
     (DeterminantSpec, (0, 5), ValueError, "M must be >= 1, got 0"),
     (DeterminantSpec, (24, 0), ValueError, "D must be squarefree >= 1, got 0"),
     (DeterminantSpec, (24, 12), ValueError, "D must be squarefree >= 1, got 12"),

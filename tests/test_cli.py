@@ -120,6 +120,14 @@ class TestEnumerateCommand:
             assert run([sub, "--M", str(2**89 - 1), "--D", "1"]) == 2
         assert "cannot certify" in capsys.readouterr().err
 
+    def test_unsplittable_composite_exits_2_within_the_rho_budget(self, capsys):
+        # two 52-bit primes: rho would need about 10^8 steps, and both subcommands ran past 30 s
+        for sub in ("enumerate", "count"):
+            start = time.perf_counter()
+            assert run([sub, "--M", "20282414051707133587220104552349", "--D", "1"]) == 2
+            assert time.perf_counter() - start < 5
+            assert "Pollard rho found no factor in 4194304 steps" in capsys.readouterr().err
+
     def test_over_the_class_budget_exits_2_at_once(self, capsys):
         # the product of the first 18 odd primes: class bound 3^18 / 2, where
         # building the classes ran out of memory

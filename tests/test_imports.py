@@ -115,7 +115,7 @@ def test_subcommand_loads_only_the_layers_it_calls(argv, code, layers):
 
 
 def test_the_mn_route_loads_no_further_layer():
-    # enumerate_iwr_via_mn lives in optimize, next to the scan it lists
+    # enumerate_iwr_via_mn lives in optimize, next to its private (m, n) scan
     stmt = "iwrlat.enumerate_iwr_via_mn(iwrlat.DeterminantSpec(24, 5))"
     assert _probe(stmt)["modules"] == _loaded()
 
@@ -293,25 +293,24 @@ LIBRARY_MODULES = ("arith", "classes", "conic", "enumeration", "optimize", "zeta
 
 PUBLIC_NAMES = [
     "CountReport", "DeterminantSpec", "Factorization", "GramMatrix", "InadmissibleDeterminantError",
-    "IwrLattice", "MismatchedTypeError", "MnPair", "MonotonicityReport", "NotIntegralError",
+    "IwrLattice", "MismatchedTypeError", "MonotonicityReport", "NotIntegralError",
     "NotPositiveDefiniteError", "NotWellRoundedError", "OptimizeResult", "SimilarityClass", "ZetaResult",
-    "__version__", "admissible_pairs", "class_from_mn", "classify_gram", "compose", "count_report",
-    "e_exponent", "enumerate_iwr", "enumerate_iwr_via_mn", "epstein_bounds", "epstein_zeta", "factorize",
-    "is_prime", "is_squarefree", "mobius_identity_check", "monotonicity_check", "optimize",
-    "packing_density", "snr", "squarefree_part",
+    "__version__", "classify_gram", "compose", "count_report", "enumerate_iwr", "enumerate_iwr_via_mn",
+    "epstein_bounds", "epstein_zeta", "factorize", "is_prime", "is_squarefree", "mobius_identity_check",
+    "monotonicity_check", "optimize", "packing_density", "snr", "squarefree_part",
 ]
 
 # second routes kept only as test oracles, and helpers inlined where used or made private
 REMOVED_NAMES = [
-    "angle_cos", "angle_sin_sq", "class_to_point", "count_classes", "count_primitive", "count_windowed",
-    "gauss_reduce", "pell_add", "solutions_for_r", "trivial_bound",
+    "MnPair", "admissible_pairs", "angle_cos", "angle_sin_sq", "class_from_mn", "class_to_point", "count_classes",
+    "count_primitive", "count_windowed", "e_exponent", "gauss_reduce", "pell_add", "solutions_for_r", "trivial_bound",
 ]
 
 
 def test_public_surface_is_pinned():
     import iwrlat
 
-    assert sorted(iwrlat.__all__) == PUBLIC_NAMES
+    assert sorted(iwrlat.__all__) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 31
 
 
 @pytest.mark.parametrize("name", REMOVED_NAMES)

@@ -4,8 +4,8 @@ import pytest
 from oracles import optimize_by_enumeration
 
 from iwrlat.arith import is_squarefree
-from iwrlat.classes import DeterminantSpec, MnPair, class_from_mn
-from iwrlat.optimize import InadmissibleDeterminantError, admissible_pairs, enumerate_iwr_via_mn, optimize
+from iwrlat.classes import DeterminantSpec
+from iwrlat.optimize import InadmissibleDeterminantError, enumerate_iwr_via_mn, optimize
 
 
 def _bound_squared(spec):
@@ -13,25 +13,40 @@ def _bound_squared(spec):
     return Fraction(4 * spec.M * spec.M * spec.D, 3)
 
 
-def test_admissible_pairs_examples():
-    assert {(p.m, p.n) for p in admissible_pairs(DeterminantSpec(1, 3))} == {(1, 1), (3, 1)}
-    assert admissible_pairs(DeterminantSpec(1, 2)) == []
-    got = {(p.m, p.n) for p in admissible_pairs(DeterminantSpec(24, 5))}
-    assert got >= {(2, 1), (3, 1), (5, 2), (5, 3), (10, 3), (15, 4), (4, 3)}
+def _route(M, D):
+    """(triple, k) of each lattice the (m, n) route lists for M*sqrt(D), in its order."""
+    return [(lat.cls.triple(), lat.k) for lat in enumerate_iwr_via_mn(DeterminantSpec(M, D))]
+
+
+def test_mn_route_examples():
+    # (1, 1) gives the hexagonal class of type 3 and the square class of type 1; no pair reaches 1*sqrt(2)
+    assert _route(1, 3) == [((1, 1, 2), 1)]
+    assert _route(1, 1) == [((0, 1, 1), 1)]
+    assert _route(1, 2) == []
+    # 24*sqrt(5): (2, 1) -> (1, 4, 9), (3, 1) -> (2, 3, 7), (3, 2) -> (11, 12, 29), (15, 4) -> (29, 24, 61),
+    # in the order (minimum, q, p) = (54, 9, 1), (56, 7, 2), (58, 29, 11), (61, 61, 29)
+    assert _route(24, 5) == [((1, 4, 9), 6), ((2, 3, 7), 8), ((11, 12, 29), 2), ((29, 24, 61), 1)]
+
+
+def test_mn_route_reciprocal_pairs_collapse():
+    # m m' = D n n' pairs the two preimages of one class, and the route lists the class once:
+    # (1, 1) and (3, 1) for type 3; (2, 1) and (5, 2), (3, 1) and (5, 3), (3, 2) and (10, 3) for type 5
+    assert _route(3, 3) == [((1, 1, 2), 3)]
+    assert _route(12, 5) == [((1, 4, 9), 3), ((2, 3, 7), 4), ((11, 12, 29), 1)]
 
 
 def test_scan_over_the_step_budget_is_refused_up_front():
     # n_max^2 * isqrt(3 D) is about 10^27 for 2^89 - 1: the scan would never end
     spec = DeterminantSpec(2**89 - 1, 1)
-    for call in (admissible_pairs, optimize, enumerate_iwr_via_mn):
+    for call in (optimize, enumerate_iwr_via_mn):
         with pytest.raises(ValueError, match="over the budget of 1073741824") as info:
             call(spec)
         assert not isinstance(info.value, InadmissibleDeterminantError)
 
 
 def test_admissible_pairs_complete_against_bruteforce():
-    # sweep the whole band directly with generous limits and compare
-    from math import gcd, isqrt
+    # sweep the whole band directly with generous limits and compare the classes of its pairs
+    from math import gcd
 
     for D in (1, 2, 3, 5, 7, 10, 13):
         if not is_squarefree(D):
@@ -49,16 +64,21 @@ def test_admissible_pairs_complete_against_bruteforce():
                     den = (1 << e) * gcd(m, D)
                     if r2 % den or M % (r2 // den):
                         continue
-                    expected.add((m, n))
-            got = {(p.m, p.n) for p in admissible_pairs(DeterminantSpec(M, D))}
-            assert got == expected, (M, D, got ^ expected)
+                    expected.add((abs(m * m - D * n * n) // den, r2 // den, (m * m + D * n * n) // den))
+            got = [lat.cls.triple() for lat in enumerate_iwr_via_mn(DeterminantSpec(M, D))]
+            assert len(got) == len(set(got)) and set(got) == expected, (M, D, set(got) ^ expected)
 
 
 def test_objective_examples():
     # a pair's lattice has minimum (M/r) q = (M/2) (m^2 + D n^2)/(m n): the ratio optimize ranks by
-    for (m, n, D), ratio in (((1, 1, 3), 4), ((15, 4, 5), Fraction(61, 12)), ((2, 1, 5), Fraction(9, 2))):
-        cls = class_from_mn(MnPair(m, n, D))
-        assert Fraction(m * m + D * n * n, m * n) == ratio == Fraction(2 * cls.q, cls.r)
+    for (m, n, D), ratio, triple in (
+        ((1, 1, 3), 4, (1, 1, 2)),
+        ((15, 4, 5), Fraction(61, 12), (29, 24, 61)),
+        ((2, 1, 5), Fraction(9, 2), (1, 4, 9)),
+    ):
+        r = triple[1]
+        assert (triple, 1) in _route(r, D)
+        assert Fraction(m * m + D * n * n, m * n) == ratio == Fraction(2 * triple[2], r)
 
 
 def test_optimize_reference_rows():
