@@ -18,6 +18,7 @@ from iwrlat.classes import (
     classify_gram,
 )
 from iwrlat.enumeration import CountReport
+from iwrlat.optimize import _mn_triples
 
 HEX = SimilarityClass(1, 1, 2, 3)
 SQUARE = SimilarityClass(0, 1, 1, 1)
@@ -37,6 +38,14 @@ def test_similarity_class_validation():
         SimilarityClass(0, 1, 1, 3)  # p = 0 forces q^2 = D r^2, so D = 1 only
     assert BIG.triple() == (29, 24, 61)
     assert SQUARE.triple() == (0, 1, 1)
+
+
+def test_class_from_mn_examples():
+    # (m, n) = (1, 1) and its reciprocal (3, 1) give the hexagonal class for D = 3, and
+    # (1, 1) the square class for D = 1; for D = 5, (15, 4) and (4, 3) give BIG with r = 24
+    assert _mn_triples(DeterminantSpec(1, 3)) == {HEX.triple()}
+    assert _mn_triples(DeterminantSpec(1, 1)) == {SQUARE.triple()}
+    assert BIG.triple() in _mn_triples(DeterminantSpec(24, 5))
 
 
 def _angle(cls):

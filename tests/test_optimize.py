@@ -5,7 +5,7 @@ from oracles import optimize_by_enumeration
 
 from iwrlat.arith import is_squarefree
 from iwrlat.classes import DeterminantSpec
-from iwrlat.optimize import InadmissibleDeterminantError, enumerate_iwr_via_mn, optimize
+from iwrlat.optimize import InadmissibleDeterminantError, _mn_triples, enumerate_iwr_via_mn, optimize
 
 
 def _bound_squared(spec):
@@ -16,6 +16,15 @@ def _bound_squared(spec):
 def _route(M, D):
     """(triple, k) of each lattice the (m, n) route lists for M*sqrt(D), in its order."""
     return [(lat.cls.triple(), lat.k) for lat in enumerate_iwr_via_mn(DeterminantSpec(M, D))]
+
+
+def test_admissible_pairs_examples():
+    # the admissible pairs of 1*sqrt(3) are (1, 1) and (3, 1), both of the hexagonal class; 1*sqrt(2) has none
+    assert _mn_triples(DeterminantSpec(1, 3)) == {(1, 1, 2)}
+    assert _mn_triples(DeterminantSpec(1, 2)) == set()
+    # 24*sqrt(5): (2, 1) and (5, 2) -> (1, 4, 9), (3, 1) and (5, 3) -> (2, 3, 7),
+    # (3, 2) and (10, 3) -> (11, 12, 29), (15, 4) and (4, 3) -> (29, 24, 61)
+    assert _mn_triples(DeterminantSpec(24, 5)) == {(1, 4, 9), (2, 3, 7), (11, 12, 29), (29, 24, 61)}
 
 
 def test_mn_route_examples():
