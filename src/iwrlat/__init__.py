@@ -14,17 +14,17 @@ zeta layer.  `iwrlat.optimize` is the function; its module is
 `sys.modules["iwrlat.optimize"]`.
 
 The value classes (`Factorization`, `SimilarityClass`, ..., `CountReport`)
-are immutable, slotted and compared by field, like the frozen dataclasses
-they replaced, but assigning a field raises a plain AttributeError, not
-dataclasses.FrozenInstanceError (see `arith`).  Only the zeta layer, whose
-results callers pass to `dataclasses.replace`, loads `dataclasses`.  Medians
-of 21 alternating runs without a bytecode cache (2 cores, Python 3.11.7),
-frozen dataclasses -> slotted classes: `-X importtime` of `import iwrlat`
-26.0 -> 10.8 ms; `python -m iwrlat <subcommand>` wall time, mean over the 8
-subcommands, 112.9 -> 95.4 ms.  Enumeration refuses a determinant whose class
-bound exceeds 2^20, and the (m, n) route of `optimize` and
-`enumerate_iwr_via_mn` one whose scan may exceed 2^30 steps, with
-ValueError, before doing the work; `factorize` refuses a composite that
+and the zeta layer's `ZetaResult` and `MonotonicityReport` are immutable,
+slotted and compared by field, like the frozen dataclasses they replaced,
+but assigning a field raises a plain AttributeError, not
+dataclasses.FrozenInstanceError (see `arith`); no layer loads `dataclasses`.
+Medians of 21 alternating runs without a bytecode cache (2 cores, Python
+3.11.7), frozen dataclasses -> slotted classes: `-X importtime` of
+`import iwrlat` 26.0 -> 10.8 ms; `python -m iwrlat <subcommand>` wall time,
+mean over the 8 subcommands, 112.9 -> 95.4 ms.  Enumeration refuses a
+determinant whose class bound exceeds 2^20, and the (m, n) route of
+`optimize` and `enumerate_iwr_via_mn` one whose scan may exceed 2^30 steps,
+with ValueError, before doing the work; `factorize` refuses a composite that
 Pollard rho cannot split in 2^22 steps.  The route's pairs and their
 normalization are private to `optimize`.
 """

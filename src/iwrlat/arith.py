@@ -16,14 +16,14 @@ product is not trial divided again: enumeration reads the exponents of
 r^2 D off those of r and D, and builds its divisors, splits and counts from
 those exponents.
 
-Factorization and the value classes of `classes` and `enumeration` are
-immutable and slotted, and compared, hashed and shown by their fields, as
-frozen dataclasses were: assigning or deleting a field raises AttributeError,
-no longer its subclass dataclasses.FrozenInstanceError.  They derive from
-`_Value` below instead of using `@dataclass`, whose import loads `inspect`
-and `ast` and whose generated methods are compiled from source as each class
-is defined: more than half of the time of `import iwrlat`.  The zeta layer's
-results stay dataclasses, because callers use `dataclasses.replace` on them.
+Factorization, the value classes of `classes` and `enumeration` and the
+results of `zeta` are immutable and slotted, and compared, hashed and shown
+by their fields, as frozen dataclasses were: assigning or deleting a field
+raises AttributeError, no longer its subclass dataclasses.FrozenInstanceError.
+They derive from `_Value` below instead of using `@dataclass`, whose import
+loads `inspect` and `ast` and whose generated methods are compiled from
+source as each class is defined: more than half of the time of
+`import iwrlat`.
 """
 
 from __future__ import annotations
@@ -177,11 +177,13 @@ def _factor_tuple(n: int) -> tuple[tuple[int, int], ...]:
 class _Value:
     """An immutable record whose fields are its `__slots__`, in that order.
 
-    A subclass names two or more fields in `__slots__` and sets each one in
-    its `__init__` with `object.__setattr__`.  As for a frozen dataclass,
-    instances compare equal only to instances of the same class with equal
-    fields, hash as the tuple of their fields, and show, match, pickle and
-    copy by their fields; unpickling and copying do not run `__init__`.
+    A subclass names two or more fields in `__slots__`.  Its constructor
+    takes them by position or by name, as a frozen dataclass's does; a
+    subclass that checks its fields defines its own `__init__`, which sets
+    them through this one or `object.__setattr__`.  As for a frozen
+    dataclass, instances compare equal only to instances of the same class
+    with equal fields, hash as the tuple of their fields, and show, match,
+    pickle and copy by their fields; unpickling and copying skip `__init__`.
     """
 
     __slots__ = ()
@@ -191,9 +193,18 @@ class _Value:
         cls.__match_args__ = cls.__slots__
         cls._astuple = attrgetter(*cls.__slots__)
 
+    def __init__(self, *args, **kwargs):
+        if kwargs:
+            # each name is taken once, in field order, so a missing field leaves the tuple short
+            args += tuple(kwargs.pop(name) for name in self.__slots__[len(args):] if name in kwargs)
+            if kwargs:
+                name = next(iter(kwargs))
+                raise TypeError(f"{self.__class__.__qualname__}() got an unexpected or repeated field {name!r}")
+        self.__setstate__(args)
+
     # Read through attrgetter, == and hash take 1.5 to 1.9 times as long as a
-    # dataclass's, whose generated code names each field.  SimilarityClass and
-    # IwrLattice, built and compared in bulk, name theirs in their own methods.
+    # dataclass's, whose generated code names each field; no timed path of the
+    # library compares or hashes records in bulk.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._astuple(self) == self._astuple(other)
@@ -218,8 +229,12 @@ class _Value:
         return __newobj__, (self.__class__,), self._astuple(self)
 
     def __setstate__(self, values):
+        names = self.__slots__
+        # anything else, a frozen dataclass's dict state among them, would set fields to the wrong values
+        if values.__class__ is not tuple or len(values) != len(names):
+            raise TypeError(f"{self.__class__.__qualname__} has the fields {names}, got {values!r}")
         # object.__setattr__ mapped in C: a Python loop made loads 15% slower
-        any(map(object.__setattr__, repeat(self), self.__slots__, values))
+        any(map(object.__setattr__, repeat(self), names, values))
 
 
 class Factorization(_Value):
@@ -227,6 +242,8 @@ class Factorization(_Value):
 
     __slots__ = ("value", "factors")
 
+    # named, not _Value's generic constructor: factorize builds about 30 per
+    # census row, and in timeit the generic one took twice as long (1.0 us)
     def __init__(self, value: int, factors: tuple[tuple[int, int], ...]):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "factors", factors)

@@ -10,9 +10,7 @@ optimize.
 
 Enumeration builds its lattices in bulk, through _lattices_of_squarefree_D:
 one loop that runs every constructor check but the re-check that D is
-squarefree, without a constructor call per object.  SimilarityClass and
-IwrLattice, unpickled in bulk with enumeration results, set their fields by
-name in their own __setstate__.
+squarefree, without a constructor call per object.
 """
 
 from __future__ import annotations
@@ -82,24 +80,6 @@ class SimilarityClass(_Value):
         if 2 * p > q:
             raise ValueError(f"2p > q for {self} (angle outside [pi/3, pi/2])")
 
-    # each field named, as fast as the dataclass methods (see arith._Value)
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.r, self.q, self.D) == (other.p, other.r, other.q, other.D)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.r, self.q, self.D))
-
-    # enumeration results unpickle classes in bulk: fields named, loads 14% faster than through arith._Value
-    def __setstate__(self, values):
-        p, r, q, D = values
-        setattr_ = object.__setattr__
-        setattr_(self, "p", p)
-        setattr_(self, "r", r)
-        setattr_(self, "q", q)
-        setattr_(self, "D", D)
-
     def triple(self) -> tuple[int, int, int]:
         return (self.p, self.r, self.q)
 
@@ -132,20 +112,6 @@ class IwrLattice(_Value):
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValueError(f"k must be a positive int, got {k!r}")
 
-    # each field named, as fast as the dataclass methods (see arith._Value)
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.cls, self.k) == (other.cls, other.k)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.cls, self.k))
-
-    def __setstate__(self, values):
-        cls, k = values
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "k", k)
-
     @property
     def minimum(self) -> int:
         """Squared length of the shortest nonzero vectors."""
@@ -166,14 +132,11 @@ class GramMatrix(_Value):
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        for name in ("a", "b", "c"):
-            v = getattr(self, name)
+        super().__init__(a, b, c)
+        for name, v in zip(self.__slots__, (a, b, c)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise NotIntegralError(f"Gram entry {name} must be an int, got {v!r}")
-        if self.a <= 0 or self.a * self.c - self.b * self.b <= 0:
+        if a <= 0 or a * c - b * b <= 0:
             raise NotPositiveDefiniteError(f"not positive definite: {self}")
 
     def det(self) -> int:

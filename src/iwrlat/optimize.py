@@ -6,8 +6,8 @@ pair (m, n) inside the angle band D n^2 <= 3 m^2 <= 9 D n^2 gives the class
 exactly when D, m and n are all odd.  _mn_triples scans the finite set of
 pairs whose r divides M and keeps one triple per class; enumerate_iwr_via_mn
 lists those classes as lattices, sorted as enumerate_iwr sorts them, an
-independent check on enumeration's coprime splits.  optimize reads the top
-run of that list: the minimum of the generated lattice is
+independent check on enumeration's coprime splits.  optimize reads the last
+lattice of that list: the minimum of the generated lattice is
 M*q/r = M*(m^2 + D n^2)/(2mn), so the largest minimum is the densest packing.
 """
 
@@ -89,14 +89,15 @@ def enumerate_iwr_via_mn(spec: DeterminantSpec) -> list[IwrLattice]:
 def optimize(spec: DeterminantSpec) -> OptimizeResult:
     """Lattice of maximal minimum norm with determinant M*sqrt(D).
 
-    The trailing run of enumerate_iwr_via_mn, whose order is (minimum, q, p):
-    maximizers are its classes, in (q, p) order, and the lattice is its
-    first.  Ties (not observed: classes sharing a determinant have distinct
-    minima) would all be reported in maximizers.
+    The last lattice of enumerate_iwr_via_mn, whose order is (minimum, q, p),
+    and its class, the only maximizer.  A WR lattice with minimum T and angle
+    theta in [pi/3, pi/2] between its minimal vectors has determinant
+    Delta = T sin(theta), and sin is one-to-one on that interval: at a fixed
+    Delta the minimum fixes theta, and theta the class, whose cos(theta) is
+    p/q in lowest terms.  So the classes of one determinant have distinct
+    minima, and the largest is unique.
     """
     lattices = enumerate_iwr_via_mn(spec)
     if not lattices:
         raise InadmissibleDeterminantError(f"IWR({spec.M}*sqrt({spec.D})) is empty")
-    best = lattices[-1].minimum
-    top = [lat for lat in lattices if lat.minimum == best]
-    return OptimizeResult(top[0], [lat.cls for lat in top])
+    return OptimizeResult(lattices[-1], [lattices[-1].cls])

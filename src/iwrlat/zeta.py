@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 
+from .arith import _Value
 from .classes import DeterminantSpec, IwrLattice
 
 __all__ = [
@@ -57,16 +57,10 @@ _SIN_MIN = math.sqrt(0.75)
 _ANGLE_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class ZetaResult:
+class ZetaResult(_Value):
     """E(s) within abs_error_bound; truncation_radius counts the K-terms summed."""
 
-    value: float
-    abs_error_bound: float
-    truncation_radius: int
-    s: float
-    T: float
-    Delta: float
+    __slots__ = ("value", "abs_error_bound", "truncation_radius", "s", "T", "Delta")
 
 
 def _require_finite_positive(**values: float) -> None:
@@ -409,7 +403,12 @@ def epstein_bounds(T: float, s: float, eps: float = 1e-6) -> tuple[float, float]
 
 
 def packing_density(lat: IwrLattice) -> float:
-    """Disc packing density pi * minimum / (4 * determinant) = pi q / (4 r sqrt(D))."""
+    """Disc packing density pi * minimum / (4 * determinant) = pi q / (4 r sqrt(D)).
+
+    Within 5u = 5 * 2^-53 relative for q, r, D < 2^53 (7u above, where each
+    conversion to float adds u): math.pi is within 0.36u of pi, and the two
+    products, the correctly rounded sqrt and the quotient add u each.
+    """
     c = lat.cls
     return math.pi * c.q / (4.0 * c.r * math.sqrt(c.D))
 
@@ -424,8 +423,7 @@ def snr(lat: IwrLattice, eps: float = 1e-6) -> float:
     return 10.0 * math.log10(1.0 / (9.0 * z.value))
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(_Value):
     """E(s) across all lattices of one determinant, ordered by minimum.
 
     decreasing_observed compares raw values; certified additionally requires
@@ -434,15 +432,8 @@ class MonotonicityReport:
     the combined error and prove nothing either way.
     """
 
-    spec: DeterminantSpec
-    s: float
-    mode: str
-    minima: tuple[int, ...]
-    values: tuple[float, ...]
-    errors: tuple[float, ...]
-    decreasing_observed: bool
-    certified: bool
-    inconclusive: tuple[tuple[int, int], ...]
+    __slots__ = ("spec", "s", "mode", "minima", "values", "errors", "decreasing_observed", "certified",
+                 "inconclusive")
 
 
 def monotonicity_check(spec: DeterminantSpec, s: float, eps: float = 1e-9) -> MonotonicityReport:

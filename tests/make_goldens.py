@@ -14,6 +14,7 @@ to change, and say which outputs changed and why.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -92,6 +93,15 @@ CLI_GOLDEN_ARGV = [
 # the grid of enumeration_digests: every M up to 1000, and rows with many divisors or large primes
 DIGEST_M = list(range(1, 1001)) + [720720, 188760, 154560, 126360, 185089, 6078]
 DIGEST_D = (1, 2, 3, 5, 6, 7, 17, 29)
+
+
+@functools.cache
+def digest_grid_lattices() -> dict:
+    """enumerate_iwr of each M*sqrt(D) of DIGEST_M x DIGEST_D, keyed by (M, D): listed once per process."""
+    from iwrlat import DeterminantSpec, enumerate_iwr
+
+    return {(M, D): enumerate_iwr(DeterminantSpec(M, D)) for D in DIGEST_D for M in DIGEST_M}
+
 
 _FLOAT = re.compile(r"-?\d+\.\d+(?:e[+-]?\d+)?")
 

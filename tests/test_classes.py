@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from iwrlat.arith import Factorization
+from iwrlat.arith import Factorization, _Value
 from iwrlat.classes import (
     DeterminantSpec,
     GramMatrix,
@@ -19,6 +19,7 @@ from iwrlat.classes import (
 )
 from iwrlat.enumeration import CountReport
 from iwrlat.optimize import _mn_triples
+from iwrlat.zeta import MonotonicityReport, ZetaResult
 
 HEX = SimilarityClass(1, 1, 2, 3)
 SQUARE = SimilarityClass(0, 1, 1, 1)
@@ -171,6 +172,18 @@ VALUES = [
       "square_classes": 0, "bound": Fraction(21, 2), "diagnostic": 0.5},
      "CountReport(spec=DeterminantSpec(M=24, D=5), rows=((1, 0, 1, 0), (24, 1, 4, 4)), total=4, "
      "square_classes=0, bound=Fraction(21, 2), diagnostic=0.5)"),
+    (ZetaResult,
+     {"value": 1.9277864333306725, "abs_error_bound": 2.5e-10, "truncation_radius": 4, "s": 2.0, "T": 2.0,
+      "Delta": 1.7320508075688772},
+     "ZetaResult(value=1.9277864333306725, abs_error_bound=2.5e-10, truncation_radius=4, s=2.0, T=2.0, "
+     "Delta=1.7320508075688772)"),
+    (MonotonicityReport,
+     {"spec": DeterminantSpec(24, 5), "s": 3.0, "mode": "asserted", "minima": (54, 56, 58, 61),
+      "values": (3e-05, 2.8e-05, 2.7e-05, 2.6e-05), "errors": (6e-11, 1.2e-10, 2.4e-10, 5.6e-10),
+      "decreasing_observed": True, "certified": False, "inconclusive": ((2, 3),)},
+     "MonotonicityReport(spec=DeterminantSpec(M=24, D=5), s=3.0, mode='asserted', minima=(54, 56, 58, 61), "
+     "values=(3e-05, 2.8e-05, 2.7e-05, 2.6e-05), errors=(6e-11, 1.2e-10, 2.4e-10, 5.6e-10), "
+     "decreasing_observed=True, certified=False, inconclusive=((2, 3),))"),
 ]
 VALUE_IDS = [case[0].__name__ for case in VALUES]
 
@@ -194,6 +207,25 @@ def test_value_class_equality_hash_and_repr(cls, fields, text):
     for other in (tuple(fields.values()), twin):
         assert obj != other and other != obj and not obj == other
         assert obj.__eq__(other) is NotImplemented
+
+
+# the records that take _Value's constructor, by position or by name
+RECORDS = [case for case in VALUES if case[0].__init__ is _Value.__init__]
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[case[0].__name__ for case in RECORDS])
+def test_record_constructor_takes_each_field_once(cls, fields, text):
+    names, values = list(fields), list(fields.values())
+    assert repr(cls(*values[:2], **dict(zip(names[2:], values[2:])))) == text
+    for args, kwargs in (
+        (values[:-1], {}),  # the last field missing
+        (values[:1], dict(zip(names[2:], values[2:]))),  # the second missing
+        (values + [None], {}),  # one field too many
+        (values, {names[0]: values[0]}),  # the first field twice
+        (values[:-1], {names[-1]: values[-1], "extra": None}),  # a name that is no field
+    ):
+        with pytest.raises(TypeError, match=cls.__qualname__):
+            cls(*args, **kwargs)
 
 
 @pytest.mark.parametrize("cls, fields, text", VALUES, ids=VALUE_IDS)
@@ -222,8 +254,9 @@ def test_value_class_pickles_and_copies_without_init(cls, fields, text, monkeypa
         assert type(again) is cls and again == obj and repr(again) == text
 
 
-# each of VALUES as pickled (protocol 4) by _Value.__reduce__ at 9eb1e29: __newobj__ and a
-# tuple of the fields, the form that pickles written before a change of the format hold
+# each of VALUES as pickled (protocol 4) by _Value.__reduce__ at 9eb1e29, ZetaResult and
+# MonotonicityReport since they became _Value records: __newobj__ and a tuple of the fields,
+# the form that pickles written before a change of the format hold
 SLOT_TUPLE_PICKLES = {
     "Factorization":
         "8004953f000000000000008c0c6977726c61742e6172697468948c0d466163746f72697a6174696f6e9493942981944d"
@@ -245,6 +278,15 @@ SLOT_TUPLE_PICKLES = {
         "298194288c0e6977726c61742e636c6173736573948c0f44657465726d696e616e74537065639493942981944b184b05"
         "869462284b014b004b014b007494284b184b014b044b04749486944b044b008c096672616374696f6e73948c08467261"
         "6374696f6e9493944b154b0286945294473fe00000000000007494622e",
+    "ZetaResult":
+        "80049554000000000000008c0b6977726c61742e7a657461948c0a5a657461526573756c7494939429819428473ffed836"
+        "964d3e5a473df12e0be826d6954b04474000000000000000474000000000000000473ffbb67ae8584caa7494622e",
+    "MonotonicityReport":
+        "800495d3000000000000008c0b6977726c61742e7a657461948c124d6f6e6f746f6e69636974795265706f7274949394"
+        "298194288c0e6977726c61742e636c6173736573948c0f44657465726d696e616e74537065639493942981944b184b05"
+        "8694624740080000000000008c08617373657274656494284b364b384b3a4b3d749428473eff75104d551d69473efd5c"
+        "31593e5fb7473efc4fc1df3300de473efb43526527a205749428473dd07e1fe91b0b70473de07e1fe91b0b70473df07e"
+        "1fe91b0b70473e033dcfe54a3803749488894b024b03869485947494622e",
 }
 
 
@@ -258,6 +300,23 @@ def test_value_class_unpickles_from_its_slot_tuple_form(cls, fields, text, monke
     monkeypatch.setattr(cls, "__init__", None)  # loading must not call it
     again = pickle.loads(bytes.fromhex(SLOT_TUPLE_PICKLES[cls.__name__]))
     assert type(again) is cls and again == obj and repr(again) == text
+
+
+def _dataclass_pickle(cls, fields):
+    """A frozen dataclass's pickle, opcode by opcode: the class, NEWOBJ, the field dict, BUILD."""
+    name = f"{cls.__module__}\n{cls.__qualname__}\n".encode()
+    return b"\x80\x04c" + name + b")\x81" + pickle.dumps(fields, 2)[2:-1] + b"b."
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES, ids=VALUE_IDS)
+def test_value_class_refuses_a_state_other_than_its_field_tuple(cls, fields, text):
+    # a dict state used to load with each field set to its own name
+    with pytest.raises(TypeError, match=f"^{cls.__qualname__} has the fields "):
+        pickle.loads(_dataclass_pickle(cls, fields))
+    values = tuple(fields.values())
+    for state in (values[:-1], values + (None,), list(values), fields, None):
+        with pytest.raises(TypeError, match=f"^{cls.__qualname__} has the fields "):
+            cls.__new__(cls).__setstate__(state)
 
 
 # constructor, arguments, the exception class and its message

@@ -13,7 +13,7 @@ import pytest
 
 from make_goldens import CLI_GOLDEN, CLI_GOLDEN_ARGV, run_cli
 
-from iwrlat import DeterminantSpec, IwrLattice, SimilarityClass, classes, enumerate_iwr, snr
+from iwrlat import DeterminantSpec, IwrLattice, SimilarityClass, classes, enumerate_iwr, factorize, snr
 from iwrlat.cli import _lattice_record, run
 
 GOLDEN = Path(__file__).parent / "data" / "table1_golden.json"
@@ -121,11 +121,18 @@ class TestEnumerateCommand:
         assert "cannot certify" in capsys.readouterr().err
 
     def test_unsplittable_composite_exits_2_within_the_rho_budget(self, capsys):
-        # two 52-bit primes: rho would need about 10^8 steps, and both subcommands ran past 30 s
+        # two 52-bit primes: rho would need about 10^8 steps, and both subcommands ran past 30 s.
+        # The budget, 2^22 steps, is 2.3 times the 1.83 * 10^6 steps that split psi_13, and a
+        # refusal took 2.8 to 3.2 times as long as that split timed alongside it: a bound of 8
+        # times leaves 2.5 times headroom on a host of any speed, and a rho with no budget fails.
+        psi_13 = 1287836182261 * 2575672364521
+        start = time.perf_counter()
+        assert factorize(psi_13).factors == ((1287836182261, 1), (2575672364521, 1))
+        psi_13_s = time.perf_counter() - start
         for sub in ("enumerate", "count"):
             start = time.perf_counter()
             assert run([sub, "--M", "20282414051707133587220104552349", "--D", "1"]) == 2
-            assert time.perf_counter() - start < 5
+            assert time.perf_counter() - start < 8 * psi_13_s
             assert "Pollard rho found no factor in 4194304 steps" in capsys.readouterr().err
 
     def test_over_the_class_budget_exits_2_at_once(self, capsys):

@@ -1,13 +1,14 @@
 """iwrlat runs on the standard library alone, and loads each layer on first use.
 
 Each probe runs in a fresh interpreter, so modules loaded by other tests in
-this process cannot hide or fake an import.  Outside the zeta layer the value
-classes are slotted classes, not dataclasses, so neither `dataclasses` nor
-the `inspect` it imports is loaded.  The dependency guard also reads
-pyproject.toml and every import statement under src/iwrlat.  The surface
-guard keeps the package's __all__ equal to the union of its modules' lists,
-and pins it to an explicit list, so a name cannot join or leave unnoticed.
-Nor does `import iwrlat` load `typing`: `OptimizeResult` is a plain namedtuple.
+this process cannot hide or fake an import.  The value classes and the zeta
+layer's results are slotted records, not dataclasses, so neither
+`dataclasses` nor the `inspect` it imports is loaded.  The dependency guard
+also reads pyproject.toml and every import statement under src/iwrlat.  The
+surface guard keeps the package's __all__ equal to the union of its modules'
+lists, and pins it to an explicit list, so a name cannot join or leave
+unnoticed.  Nor does `import iwrlat` load `typing`: `OptimizeResult` is a
+plain namedtuple.
 """
 
 import ast
@@ -160,13 +161,23 @@ def test_optimize_result_keeps_its_fields_replace_repr_and_pickling():
     assert pickle.loads(pickle.dumps(result)) == result
 
 
-# the zeta layer keeps its dataclasses: callers apply dataclasses.replace to a ZetaResult
+# ZetaResult and MonotonicityReport are _Value records too, so the zeta layer loads neither
 WITHOUT_ZETA = [case for case in SUBCOMMANDS if "zeta" not in case[2]]
+WITH_ZETA = [case for case in SUBCOMMANDS if "zeta" in case[2]]
 
 
 @pytest.mark.parametrize("argv, code, layers", WITHOUT_ZETA, ids=_ids(WITHOUT_ZETA))
 def test_subcommand_without_zeta_loads_neither_dataclasses_nor_inspect(argv, code, layers):
     assert _probe(argv)["stdlib"] == []
+
+
+@pytest.mark.parametrize("argv, code, layers", WITH_ZETA, ids=_ids(WITH_ZETA))
+def test_subcommand_on_the_zeta_layer_loads_neither_dataclasses_nor_inspect(argv, code, layers):
+    assert _probe(argv)["stdlib"] == []
+
+
+def test_import_iwrlat_zeta_loads_neither_dataclasses_nor_inspect():
+    assert _probe("import iwrlat.zeta")["stdlib"] == []
 
 
 # each message embeds the repr of a value class, which is the dataclass repr

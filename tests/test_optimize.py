@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from make_goldens import digest_grid_lattices
 from oracles import optimize_by_enumeration
 
 from iwrlat.arith import is_squarefree
@@ -127,6 +128,13 @@ def test_optimize_simple_cases():
 def test_optimize_inadmissible():
     with pytest.raises(InadmissibleDeterminantError):
         optimize(DeterminantSpec(1, 2))
+
+
+def test_classes_of_one_determinant_have_distinct_minima():
+    # optimize's theorem: Delta = T sin(theta) with theta in [pi/3, pi/2], so the minimum fixes the class
+    for (M, D), lattices in digest_grid_lattices().items():
+        minima = [lat.minimum for lat in lattices]
+        assert len(set(minima)) == len(minima), (M, D)
 
 
 def test_optimize_matches_bruteforce_on_grid():

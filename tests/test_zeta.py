@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 
 import mpmath
 import pytest
+from make_goldens import digest_grid_lattices
 from oracles import shell_sum
 
 from iwrlat.classes import DeterminantSpec, IwrLattice, SimilarityClass
@@ -324,6 +325,16 @@ def test_packing_density_examples():
     big = IwrLattice(SimilarityClass(29, 24, 61, 5), 1)
     assert packing_density(big) == pytest.approx(61 * math.pi / (96 * math.sqrt(5)))
     assert packing_density(big) <= math.pi / (2 * math.sqrt(3))
+
+
+def test_packing_density_within_its_stated_bound():
+    # 5u relative, u = 2^-53, for q, r and D below 2^53 (the docstring's rounding count), against 40 digits
+    classes = {lat.cls for lattices in digest_grid_lattices().values() for lat in lattices}
+    assert len(classes) > 2000 and max(c.q for c in classes) < 2**53
+    with mpmath.workdps(40):
+        for c in classes:
+            exact = mpmath.pi * c.q / (4 * c.r * mpmath.sqrt(c.D))
+            assert abs(packing_density(IwrLattice(c, 1)) - exact) <= 5 * 2.0**-53 * exact, c
 
 
 def test_monotonicity_asserted_at_s3():
