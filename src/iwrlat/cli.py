@@ -17,7 +17,6 @@ import math
 import sys
 from math import isqrt
 
-from .arith import is_squarefree
 from .classes import (
     DeterminantSpec,
     GramMatrix,
@@ -115,9 +114,7 @@ def _parse_class(text: str, D: int) -> SimilarityClass:
 
 
 def _class_from_pq(p: int, q: int, D: int) -> SimilarityClass:
-    # D first, so a D that is not squarefree gets DeterminantSpec's message whatever p and q are
-    if not is_squarefree(D):
-        raise ValueError(f"D must be squarefree >= 1, got {D}")
+    DeterminantSpec(1, D)  # D first, so a D that is not squarefree is refused whatever p and q are
     rem = q * q - p * p
     if rem <= 0 or rem % D:
         raise ValueError(f"q^2 - p^2 = {rem} is not a positive multiple of D = {D}")

@@ -16,7 +16,7 @@ powers of n and pruned at isqrt(3n): at most 2^omega(c) candidates instead of
 the tau(c) divisors, and gcd(p, q) = 1 holds by construction.
 
 Each call factors M and D once and checks the class budget on integers:
-_class_bound returns twice the bound, which is compared with twice the
+_class_bound returns twice the bound after comparing it with twice the
 budget, so a Fraction is built only for CountReport.bound and for the
 refusal's message.  Twice the bound is also tau(M^2 D), which count_report's
 diagnostic reads instead of a product over the primes.  One table holds three
@@ -45,10 +45,10 @@ are views of the determinant-level calls on DeterminantSpec(r, D): its
 classes are the lattices of enumerate_iwr with cls.r == r, and its counts
 are the row of r in count_report.
 
-Only mobius_identity_check takes (r, D) itself: it builds the table of r off
-the memo, refuses a D that is not squarefree as DeterminantSpec does, and
-ties the class counts to a scan of every divisor in the window, with the
-parity test restated: c odd lists the divisors of c, 4 | c those of c/4,
+Only mobius_identity_check takes (r, D) itself: it checks them with
+DeterminantSpec(r, D), builds the table of r off the memo, and ties the
+class counts to a scan of every divisor in the window, with the parity test
+restated: c odd lists the divisors of c, 4 | c those of c/4,
 and c = 2 mod 4 none.  It scans only the rows its two identities weigh: r
 itself, and the r/g for the squarefree g | r.  Each of their n divides the
 n of r, so it lists the divisors of r's n once, and each row tests those in
@@ -91,18 +91,13 @@ def _class_bound(fM: Factorization, fD: Factorization) -> int:
     """Twice the class bound: sum over r | M of 2^omega(r D), read off the exponents of M.
 
     omega(r D) = omega(D) + the primes of r outside D, so a prime p^e of M
-    contributes a factor e + 1 when p | D and 1 + 2e otherwise.
+    contributes a factor e + 1 when p | D and 1 + 2e otherwise.  Raises
+    ValueError when the bound exceeds _CLASS_BUDGET.
     """
     eD = dict(fD.factors)
-    n = 2 ** len(eD)
+    twice = 2 ** len(eD)
     for p, e in fM.factors:
-        n *= e + 1 if p in eD else 1 + 2 * e
-    return n
-
-
-def _budgeted_bound(fM: Factorization, fD: Factorization) -> int:
-    """Twice the class bound of M and D; raises ValueError when the bound exceeds _CLASS_BUDGET."""
-    twice = _class_bound(fM, fD)
+        twice *= e + 1 if p in eD else 1 + 2 * e
     if twice > 2 * _CLASS_BUDGET:
         from fractions import Fraction
 
@@ -122,7 +117,7 @@ def _divisor_table(fM: Factorization, fD: Factorization) -> Table:
     last prime fastest: r = prod p_i^a_i sits at index sum a_i s_i, where s_i
     is the product of (e_j + 1) over the primes p_j of M after p_i.  So M is
     the last row.
-    The caller checks the budget (_budgeted_bound) before building it.
+    The caller checks the budget (_class_bound) before building it.
     """
     eM, eD = dict(fM.factors), dict(fD.factors)
     primes = tuple(sorted(eM.keys() | eD.keys()))
@@ -160,17 +155,6 @@ def _divisor_sums(counts: list[int], fM: Factorization) -> list[int]:
     return out
 
 
-def _r_table(r: int, D: int) -> tuple[Factorization, Table]:
-    if r < 1 or D < 1:
-        raise ValueError("r and D must be positive")
-    fr, fD = factorize(r), factorize(D)
-    # the window count and the unitary splits both need D squarefree
-    if any(e > 1 for _, e in fD.factors):
-        raise ValueError(f"D must be squarefree >= 1, got {D}")
-    _budgeted_bound(fr, fD)
-    return fr, _divisor_table(fr, fD)
-
-
 def _splits(c: int, primes: tuple[int, ...], powers: tuple[int, ...]) -> tuple[int, list[int]]:
     """(n, us): n = c (c odd) or c/4 (8 | c), and its unitary divisors u with n < u^2 <= 3n.
 
@@ -206,7 +190,7 @@ def _split_table(fM: Factorization, fD: Factorization) -> tuple[int, Table, list
     determinant is read; the lists returned are shared with it, read only.
     """
     global _last_split_table
-    twice_bound = _budgeted_bound(fM, fD)
+    twice_bound = _class_bound(fM, fD)
     key = (fM.value, fD.value)
     last = _last_split_table
     if last is not None and last[0] == key:
@@ -266,7 +250,11 @@ def mobius_identity_check(r: int, D: int) -> bool:
     identities tie the two routes together.  The first identity scans only the row of r; the
     second scans only the rows r/g with mu(g) != 0, since the others add 0.
     """
-    fr, (primes, _, cs, powers) = _r_table(r, D)
+    DeterminantSpec(r, D)  # the window count and the unitary splits both need D squarefree
+    fr, fD = factorize(r), factorize(D)
+    _class_bound(fr, fD)  # refuses a bound over the budget
+    # off the memo of _split_table: a check splits every row itself, and a fault in _splits shows
+    primes, _, cs, powers = _divisor_table(fr, fD)
     classes = [len(us) for _, us in map(_splits, cs, repeat(primes), powers)]
     c_top = cs[-1]
     divisors = _window_divisors(c_top, primes, powers[-1])
@@ -317,9 +305,10 @@ class CountReport(_Value):
 
     bound = (1/2) * sum over r | M of 2^omega(r D), a Fraction, is an exact
     upper bound on total for D > 1 (for D = 1 the square class escapes it).
-    diagnostic is the heuristic size estimate sum_{r|M} sum_{g|r} mu(r/g) f(g)
-    with f(g) = tau(g^2 D)/sqrt(omega(g D)), which Moebius inversion reduces
-    to f(M), and 0 when M = D = 1.  It is reported only, never asserted.
+    diagnostic is the size estimate sum_{r|M} sum_{g|r} mu(r/g) f(g) with
+    f(g) = tau(g^2 D)/sqrt(omega(g D)), which Moebius inversion reduces to
+    f(M): exactly tau(M^2 D)/sqrt(omega(M D)) = 2 bound/sqrt(omega(M D)),
+    and 0 when M = D = 1.  It carries no claim: reported, never asserted.
     """
 
     __slots__ = ("spec", "rows", "total", "square_classes", "bound", "diagnostic")

@@ -16,6 +16,7 @@ a x^2 + b x y + c y^2 with d = 4ac - b^2,
 E(s) is T^-s times Z(s) at a = c = 1, b = 2 cos(theta), d = 4 sin(theta)^2,
 so the n-th K-term has argument 2 pi n sin(theta) >= pi sqrt(3) n and the
 series falls off like e^(-5.4 n).  zeta(2s) and zeta(2s-1) come from _hurwitz,
+on prime logarithms that decimal computes, correctly rounded to 45 digits, and
 K_nu from the trapezoidal rule (_bessel_k).  The returned abs_error_bound
 covers the K-terms left out, the trapezoid errors, the Hurwitz errors and
 float rounding (see _U), the latter taken relative to the sum of the terms'
@@ -39,7 +40,7 @@ import math
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 
-from .arith import _Value
+from .arith import _SMALL_PRIMES, _Value
 from .classes import DeterminantSpec, IwrLattice
 
 __all__ = [
@@ -96,25 +97,10 @@ _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6)
               (-3617, 510), (43867, 798), (-174611, 330))  # B_2 .. B_20
 
 
-# ln p for the primes p <= 52, rounded to 45 significant digits (relative
-# error under 1e-44): every base q k + p of _hurwitz is a product of these p
-_LN_PRIMES = tuple((p, Decimal(ln)) for p, ln in (
-    (2, "0.693147180559945309417232121458176568075500134"),
-    (3, "1.09861228866810969139524523692252570464749056"),
-    (5, "1.60943791243410037460075933322618763952560135"),
-    (7, "1.94591014905531330510535274344317972963708473"),
-    (11, "2.39789527279837054406194357796512929982170685"),
-    (13, "2.56494935746153673605348744156531860480526794"),
-    (17, "2.83321334405621608024953461787312653558820301"),
-    (19, "2.94443897916644046000902743188785353723737926"),
-    (23, "3.13549421592914969080675283181019611844238031"),
-    (29, "3.36729582998647402718327203236191160549451291"),
-    (31, "3.43398720448514624592916432454235721044993893"),
-    (37, "3.61091791264422444436809567103144716390007759"),
-    (41, "3.71357206670430780386676337303740758837641047"),
-    (43, "3.76120011569356242347284251334584703555913618"),
-    (47, "3.85014760171005858682095066977217370889605050"),
-))
+# ln p for the primes p <= 52, computed by decimal and correctly rounded to 45
+# significant digits (relative error under 1e-44): every base q k + p of
+# _hurwitz is a product of these p
+_LN_PRIMES = tuple((p, Context(prec=45).ln(p)) for p in _SMALL_PRIMES if p < 52)
 
 
 def _inverse_powers(s: Decimal, bases: list[int]) -> list[Decimal]:
@@ -252,15 +238,6 @@ def _k_tail(n: int, x1: float, s: float, m: int, log_coef: float) -> float:
     return 2 * math.exp(log_bound) if log_bound < 700 else math.inf
 
 
-def _to_float(pair: tuple[Decimal, Decimal]) -> tuple[float, float]:
-    """A _hurwitz (value, error) as floats, the error doubled to cover its own rounding.
-
-    The value is within u of the decimal one, a share of the caller's allowance.
-    """
-    value, error = pair
-    return float(value), 2 * float(error)
-
-
 def _chowla_selberg(T: float, Delta: float, s: float, eps: float, sine: float, num: int, den: int) -> ZetaResult:
     """E(s) of T (x^2 + y^2 + 2 (num/den) x y), whose sin(theta) is sine, within eps.
 
@@ -273,70 +250,69 @@ def _chowla_selberg(T: float, Delta: float, s: float, eps: float, sine: float, n
     if s > _S_MAX / 2:
         raise ValueError(f"s must be at most {_S_MAX / 2:g}, got s={s}")
     try:
-        return _chowla_selberg_sum(T, Delta, s, eps, sine, num, den)
+        scale = math.exp(-s * math.log(T))  # T^-s
+        scale_weight = s * abs(math.log(T)) + 6  # its rounding, fsum's and the product's
+        with localcontext(_DECIMAL_FOR_FLOAT):
+            zeta_2s, err_2s = _hurwitz(Decimal(2 * s), 1, 1)
+            zeta_1, err_1 = _hurwitz(Decimal(2 * s - 1), 1, 1)
+        # as floats: each value within u of the decimal one, a share of the
+        # allowance, and each error doubled to cover its own rounding
+        zeta_2s, err_2s, zeta_1, err_1 = float(zeta_2s), 2 * float(err_2s), float(zeta_1), 2 * float(err_1)
+        nu = s - 0.5
+        m = math.ceil(nu - 0.5)
+        lg_s, lg_nu = math.lgamma(s), math.lgamma(nu)
+        ln_d = 2 * math.log(2 * sine)
+        # 2^(2s) sqrt(pi) Gamma(s-1/2) / (Gamma(s) d^(s-1/2)) and
+        # 2^(s+5/2) pi^s / (Gamma(s) d^(s/2-1/4)), as logs with their |L|_1 + k
+        log_2 = 2 * s * _LN2 + 0.5 * _LN_PI + lg_nu - lg_s - nu * ln_d
+        mag_2 = 2 * s * _LN2 + 0.5 * _LN_PI + abs(lg_nu) + abs(lg_s) + nu * (abs(ln_d) + 2) + 8
+        log_k = (s + 2.5) * _LN2 + s * _LN_PI - lg_s - (0.5 * s - 0.25) * ln_d
+        mag_k = (s + 2.5) * _LN2 + s * _LN_PI + abs(lg_s) + (0.5 * s - 0.25) * (abs(ln_d) + 2) + 6
+        factor_2 = math.exp(log_2)
+        terms = [2 * zeta_2s, factor_2 * zeta_1]
+        error = 2 * err_2s + factor_2 * err_1
+        weight = terms[0] + abs(terms[1]) * (mag_2 + 1)  # float rounding, in units of U
+        log_coef = log_k + math.log(zeta_1 + err_1)  # sigma_{1-2s}(n) <= zeta(2s-1)
+        x1 = 2 * math.pi * sine
+
+        def certified(tail: float) -> float:
+            rounding = _U * (weight + scale_weight * math.fsum(map(abs, terms)))
+            return scale * (error + rounding + tail) * (1 + _U)
+
+        for n in range(1, _K_TERMS_MAX + 1):
+            ln_n = math.log(n)
+            divisors = [d for d in range(1, n + 1) if n % d == 0]
+            # n^(s-1/2) sigma_{1-2s}(n) times the prefactor, one exp per divisor
+            amplitude = sum(math.exp(log_k + nu * ln_n + (1 - 2 * s) * math.log(d)) for d in divisors)
+            k, k_error, k_weight = _bessel_k(nu, n * x1, m)
+            # cos(pi n b/a) = cos(2 pi n num/den), reduced exactly mod 1; within
+            # ((2 pi n)^2 + 8) U of the exact cos(theta), also when num/den is the
+            # rounded sqrt(1 - (Delta/T)^2): cos(2 pi n c) is a function of c^2
+            phase = math.cos(2 * math.pi * ((n * num) % den) / den)
+            terms.append(amplitude * k * phase)
+            error += amplitude * k_error
+            weight += amplitude * (k_weight + k * (mag_k + 4 * s * ln_n + len(divisors) + (2 * math.pi * n) ** 2 + 14))
+            bound = certified(_k_tail(n, x1, s, m, log_coef))
+            if bound <= eps:
+                break
+            floor = certified(0.0)
+            if floor > eps:
+                raise ValueError(
+                    f"eps={eps:g} is below the certified accuracy of E(s) at T={T}, s={s}:"
+                    f" rounding and zeta errors alone bound it by {floor:.3g}; raise eps"
+                )
+        else:
+            raise ValueError(
+                f"E(s) at T={T}, s={s} needs more than {_K_TERMS_MAX} Chowla-Selberg terms for eps={eps:g}"
+            )
+        value = scale * math.fsum(terms)
+        if math.isinf(value) or math.isinf(bound):
+            raise ValueError(f"E(s) at T={T}, s={s} exceeds the float range")
+        if value < sys.float_info.min:
+            raise ValueError(f"E(s) at T={T}, s={s} falls below the float range")
+        return ZetaResult(value, bound + 4 * math.ulp(0.0), n, float(s), float(T), float(Delta))
     except OverflowError as exc:
         raise ValueError(f"a term of E(s) at T={T}, s={s} exceeds the float range") from exc
-
-
-def _chowla_selberg_sum(T, Delta, s, eps, sine, num, den) -> ZetaResult:
-    scale = math.exp(-s * math.log(T))  # T^-s
-    scale_weight = s * abs(math.log(T)) + 6  # its rounding, fsum's and the product's
-    with localcontext(_DECIMAL_FOR_FLOAT):
-        zeta_2s, err_2s = _to_float(_hurwitz(Decimal(2 * s), 1, 1))
-        zeta_1, err_1 = _to_float(_hurwitz(Decimal(2 * s - 1), 1, 1))
-    nu = s - 0.5
-    m = math.ceil(nu - 0.5)
-    lg_s, lg_nu = math.lgamma(s), math.lgamma(nu)
-    ln_d = 2 * math.log(2 * sine)
-    # 2^(2s) sqrt(pi) Gamma(s-1/2) / (Gamma(s) d^(s-1/2)) and
-    # 2^(s+5/2) pi^s / (Gamma(s) d^(s/2-1/4)), as logs with their |L|_1 + k
-    log_2 = 2 * s * _LN2 + 0.5 * _LN_PI + lg_nu - lg_s - nu * ln_d
-    mag_2 = 2 * s * _LN2 + 0.5 * _LN_PI + abs(lg_nu) + abs(lg_s) + nu * (abs(ln_d) + 2) + 8
-    log_k = (s + 2.5) * _LN2 + s * _LN_PI - lg_s - (0.5 * s - 0.25) * ln_d
-    mag_k = (s + 2.5) * _LN2 + s * _LN_PI + abs(lg_s) + (0.5 * s - 0.25) * (abs(ln_d) + 2) + 6
-    factor_2 = math.exp(log_2)
-    terms = [2 * zeta_2s, factor_2 * zeta_1]
-    error = 2 * err_2s + factor_2 * err_1
-    weight = terms[0] + abs(terms[1]) * (mag_2 + 1)  # float rounding, in units of U
-    log_coef = log_k + math.log(zeta_1 + err_1)  # sigma_{1-2s}(n) <= zeta(2s-1)
-    x1 = 2 * math.pi * sine
-
-    def certified(tail: float) -> float:
-        rounding = _U * (weight + scale_weight * math.fsum(map(abs, terms)))
-        return scale * (error + rounding + tail) * (1 + _U)
-
-    for n in range(1, _K_TERMS_MAX + 1):
-        ln_n = math.log(n)
-        divisors = [d for d in range(1, n + 1) if n % d == 0]
-        # n^(s-1/2) sigma_{1-2s}(n) times the prefactor, one exp per divisor
-        amplitude = sum(math.exp(log_k + nu * ln_n + (1 - 2 * s) * math.log(d)) for d in divisors)
-        k, k_error, k_weight = _bessel_k(nu, n * x1, m)
-        # cos(pi n b/a) = cos(2 pi n num/den), reduced exactly mod 1; within
-        # ((2 pi n)^2 + 8) U of the exact cos(theta), also when num/den is the
-        # rounded sqrt(1 - (Delta/T)^2): cos(2 pi n c) is a function of c^2
-        phase = math.cos(2 * math.pi * ((n * num) % den) / den)
-        terms.append(amplitude * k * phase)
-        error += amplitude * k_error
-        weight += amplitude * (k_weight + k * (mag_k + 4 * s * ln_n + len(divisors) + (2 * math.pi * n) ** 2 + 14))
-        bound = certified(_k_tail(n, x1, s, m, log_coef))
-        if bound <= eps:
-            break
-        floor = certified(0.0)
-        if floor > eps:
-            raise ValueError(
-                f"eps={eps:g} is below the certified accuracy of E(s) at T={T}, s={s}:"
-                f" rounding and zeta errors alone bound it by {floor:.3g}; raise eps"
-            )
-    else:
-        raise ValueError(
-            f"E(s) at T={T}, s={s} needs more than {_K_TERMS_MAX} Chowla-Selberg terms for eps={eps:g}"
-        )
-    value = scale * math.fsum(terms)
-    if math.isinf(value) or math.isinf(bound):
-        raise ValueError(f"E(s) at T={T}, s={s} exceeds the float range")
-    if value < sys.float_info.min:
-        raise ValueError(f"E(s) at T={T}, s={s} falls below the float range")
-    return ZetaResult(value, bound + 4 * math.ulp(0.0), n, float(s), float(T), float(Delta))
 
 
 def epstein_zeta(T: float, Delta: float, s: float, eps: float) -> ZetaResult:

@@ -41,8 +41,9 @@ def test_factorization_reconstruct():
 
 
 def test_full_reconstruction_sweep_to_one_million():
-    # the strongest functional check factorize gets: every value round-trips
-    for n in range(1, 1_000_001):
+    # every value round-trips; 1..300 000 are left to test_factorize_matches_the_sieve_oracle,
+    # which checks them against an independent sieve, a stronger check than the product
+    for n in range(300_001, 1_000_001):
         f = factorize(n)
         assert _product(f) == n
 
