@@ -32,7 +32,7 @@ __all__ = [
 
 
 class NotIntegralError(ValueError):
-    """Gram entries must be plain integers."""
+    """A Gram entry, class coordinate or determinant part that is not a plain int."""
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -92,10 +92,14 @@ class DeterminantSpec(_Value):
     def __init__(self, M: int, D: int):
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "D", D)
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
-        if self.D < 1 or not is_squarefree(self.D):
-            raise ValueError(f"D must be squarefree >= 1, got {self.D}")
+        if not isinstance(M, int) or isinstance(M, bool):
+            raise NotIntegralError(f"M must be an int, got {M!r}")
+        if not isinstance(D, int) or isinstance(D, bool):
+            raise NotIntegralError(f"D must be an int, got {D!r}")
+        if M < 1:
+            raise ValueError(f"M must be >= 1, got {M}")
+        if D < 1 or not is_squarefree(D):
+            raise ValueError(f"D must be squarefree >= 1, got {D}")
 
 
 class IwrLattice(_Value):

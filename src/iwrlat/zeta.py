@@ -17,7 +17,8 @@ E(s) is T^-s times Z(s) at a = c = 1, b = 2 cos(theta), d = 4 sin(theta)^2,
 so the n-th K-term has argument 2 pi n sin(theta) >= pi sqrt(3) n and the
 series falls off like e^(-5.4 n).  zeta(2s) and zeta(2s-1) come from _hurwitz,
 on prime logarithms that decimal computes, correctly rounded to 45 digits, and
-K_nu from the trapezoidal rule (_bessel_k).  The returned abs_error_bound
+K_nu from the trapezoidal rule (_bessel_k); monotonicity_check evaluates the
+two once for all the lattices of its determinant.  The returned abs_error_bound
 covers the K-terms left out, the trapezoid errors, the Hurwitz errors and
 float rounding (see _U), the latter taken relative to the sum of the terms'
 magnitudes, which is what cancellation leaves exposed: for the hexagonal shape
@@ -30,8 +31,9 @@ an even convex function of c = cos(theta), so E(s) does not decrease as c
 grows from 0 to 1/2, and every WR form lies between the square and the
 hexagonal one: E_square = 4 zeta(s) beta(s) T^-s <= E(s) <= E_hex =
 6 zeta(s) L_-3(s) T^-s, with beta(s) = 4^-s (zeta(s,1/4) - zeta(s,3/4)) and
-L_-3(s) = 3^-s (zeta(s,1/3) - zeta(s,2/3)).  Its certificate, too, covers
-rounding down to the returned floats.
+L_-3(s) = 3^-s (zeta(s,1/3) - zeta(s,2/3)).  The five Hurwitz sums share one
+table of p^-s, so a call computes each of the 15 prime powers once (15 exps,
+not 44).  Its certificate, too, covers rounding down to the returned floats.
 """
 
 from __future__ import annotations
@@ -103,12 +105,12 @@ _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6)
 _LN_PRIMES = tuple((p, Context(prec=45).ln(p)) for p in _SMALL_PRIMES if p < 52)
 
 
-def _inverse_powers(s: Decimal, bases: list[int]) -> list[Decimal]:
+def _inverse_powers(s: Decimal, bases: list[int], prime_powers: dict[int, Decimal]) -> list[Decimal]:
     """n^-s for each base 1 <= n <= 52, as products of p^-s = exp(-s ln p) over its prime factors.
 
-    Each prime that divides a base costs one exp, computed on first use.
+    prime_powers is the table of p^-s at this s, shared by every sum at s:
+    each prime costs one exp, computed on first use and stored there.
     """
-    prime_powers: dict[int, Decimal] = {}
     out = []
     for n in bases:
         value = Decimal(1)
@@ -124,11 +126,14 @@ def _inverse_powers(s: Decimal, bases: list[int]) -> list[Decimal]:
     return out
 
 
-def _hurwitz(s: Decimal, p: int, q: int) -> tuple[Decimal, Decimal]:
+def _hurwitz(s: Decimal, p: int, q: int, prime_powers: dict[int, Decimal]) -> tuple[Decimal, Decimal]:
     """q^-s zeta(s, p/q) = sum of (q k + p)^-s over k >= 0, as (value, abs_error).
 
     For 1 <= p <= q <= 4 and 1 < s <= _S_MAX, in a context like _DECIMAL;
-    p/q comes as integers so every base q k + p <= 52 is exact.  Euler-Maclaurin:
+    p/q comes as integers so every base q k + p <= 52 is exact.  prime_powers
+    is the table of p^-s that _inverse_powers fills, one per s and context:
+    epstein_bounds passes its five sums one table, so a call runs 15 exps
+    where a table per sum ran 44, on the same values.  Euler-Maclaurin:
     _HEAD terms, then with y = q _HEAD + p the integral y^(1-s) / (q (s-1)),
     y^-s / 2 and B_2j / (2j)! (s)_(2j-1) q^(2j-1) y^(1-s-2j) for j = 1..9.
     For real s > 1 the remainder is at most the first omitted term, j = 10
@@ -139,7 +144,7 @@ def _hurwitz(s: Decimal, p: int, q: int) -> tuple[Decimal, Decimal]:
     Near s = 1 the integrals grow like 1/(s-1) and cancel in beta and L_-3;
     the allowance grows with them.
     """
-    *terms, w = _inverse_powers(s, [q * k + p for k in range(_HEAD + 1)])
+    *terms, w = _inverse_powers(s, [q * k + p for k in range(_HEAD + 1)], prime_powers)
     y = q * _HEAD + p
     terms += [w * y / (q * (s - 1)), w / 2]
     g = s * q * w / y  # (s)_(2j-1) q^(2j-1) y^(1-s-2j) at j = 1
@@ -238,26 +243,35 @@ def _k_tail(n: int, x1: float, s: float, m: int, log_coef: float) -> float:
     return 2 * math.exp(log_bound) if log_bound < 700 else math.inf
 
 
-def _chowla_selberg(T: float, Delta: float, s: float, eps: float, sine: float, num: int, den: int) -> ZetaResult:
-    """E(s) of T (x^2 + y^2 + 2 (num/den) x y), whose sin(theta) is sine, within eps.
+def _zeta_pair(s: float) -> tuple[float, float, float, float]:
+    """(zeta(2s), error, zeta(2s-1), error) as floats, for the first two Chowla-Selberg terms.
 
-    Sums K-terms until the certified bound is at most eps; ValueError when no
-    number of terms up to _K_TERMS_MAX gets there, or a value leaves the float
-    range.
+    ValueError unless 1 < s <= _S_MAX / 2.  Each value is within u of the
+    decimal one, a share of the allowance, and each error is doubled to cover
+    its own rounding.
     """
     if s <= 1.0:
         raise ValueError(f"series diverges for s <= 1, got s={s}")
     if s > _S_MAX / 2:
         raise ValueError(f"s must be at most {_S_MAX / 2:g}, got s={s}")
+    with localcontext(_DECIMAL_FOR_FLOAT):
+        zeta_2s, err_2s = _hurwitz(Decimal(2 * s), 1, 1, {})
+        zeta_1, err_1 = _hurwitz(Decimal(2 * s - 1), 1, 1, {})
+    return float(zeta_2s), 2 * float(err_2s), float(zeta_1), 2 * float(err_1)
+
+
+def _chowla_selberg(T: float, Delta: float, s: float, eps: float, sine: float, num: int, den: int,
+                    zetas: tuple[float, float, float, float]) -> ZetaResult:
+    """E(s) of T (x^2 + y^2 + 2 (num/den) x y), whose sin(theta) is sine, within eps.
+
+    zetas is _zeta_pair(s).  Sums K-terms until the certified bound is at
+    most eps; ValueError when no number of terms up to _K_TERMS_MAX gets
+    there, or a value leaves the float range.
+    """
+    zeta_2s, err_2s, zeta_1, err_1 = zetas
     try:
         scale = math.exp(-s * math.log(T))  # T^-s
         scale_weight = s * abs(math.log(T)) + 6  # its rounding, fsum's and the product's
-        with localcontext(_DECIMAL_FOR_FLOAT):
-            zeta_2s, err_2s = _hurwitz(Decimal(2 * s), 1, 1)
-            zeta_1, err_1 = _hurwitz(Decimal(2 * s - 1), 1, 1)
-        # as floats: each value within u of the decimal one, a share of the
-        # allowance, and each error doubled to cover its own rounding
-        zeta_2s, err_2s, zeta_1, err_1 = float(zeta_2s), 2 * float(err_2s), float(zeta_1), 2 * float(err_1)
         nu = s - 0.5
         m = math.ceil(nu - 0.5)
         lg_s, lg_nu = math.lgamma(s), math.lgamma(nu)
@@ -325,15 +339,22 @@ def epstein_zeta(T: float, Delta: float, s: float, eps: float) -> ZetaResult:
     _require_finite_positive(T=T, Delta=Delta, s=s, eps=eps)
     sine, cos = _shape(T, Delta)
     num, den = cos.as_integer_ratio()
-    return _chowla_selberg(T, Delta, s, eps, sine, num, den)
+    return _chowla_selberg(T, Delta, s, eps, sine, num, den, _zeta_pair(s))
 
 
-def _lattice_zeta(lat: IwrLattice, s: float, eps: float) -> ZetaResult:
-    """epstein_zeta for an IWR lattice, whose cos(theta) = p/q is exact."""
-    _require_finite_positive(s=s, eps=eps)
+def _lattice_zeta(lat: IwrLattice, s: float, eps: float, zetas: tuple[float, float, float, float]) -> ZetaResult:
+    """epstein_zeta for an IWR lattice, whose cos(theta) = p/q is exact, given zetas = _zeta_pair(s).
+
+    s and eps are checked by the caller.  ValueError when the minimum or the
+    determinant is beyond the float range.
+    """
     c = lat.cls
     root = c.r * math.sqrt(c.D)
-    return _chowla_selberg(float(lat.minimum), lat.k * root, s, eps, root / c.q, c.p, c.q)
+    try:
+        T, Delta = float(lat.minimum), lat.k * root
+    except OverflowError as exc:
+        raise ValueError("the lattice's minimum exceeds the float range") from exc
+    return _chowla_selberg(T, Delta, s, eps, root / c.q, c.p, c.q, zetas)
 
 
 # float() rounds to within 2^-53 relative, or 2^-1075 below the normal range;
@@ -369,10 +390,11 @@ def epstein_bounds(T: float, s: float, eps: float = 1e-6) -> tuple[float, float]
         raise ValueError(f"s must be at most {_S_MAX:g} for the certified bracket, got s={s}")
     with localcontext(_DECIMAL):
         s_dec = Decimal(float(s))
-        zeta = _hurwitz(s_dec, 1, 1)
+        powers: dict[int, Decimal] = {}  # p^-s, one table for the five sums
+        zeta = _hurwitz(s_dec, 1, 1, powers)
         scale = (-s_dec * Decimal(float(T)).ln()).exp()  # T^-s
-        lower = _bracket_end(4 * scale, zeta, _hurwitz(s_dec, 1, 4), _hurwitz(s_dec, 3, 4), -1)
-        upper = _bracket_end(6 * scale, zeta, _hurwitz(s_dec, 1, 3), _hurwitz(s_dec, 2, 3), +1)
+        lower = _bracket_end(4 * scale, zeta, _hurwitz(s_dec, 1, 4, powers), _hurwitz(s_dec, 3, 4, powers), -1)
+        upper = _bracket_end(6 * scale, zeta, _hurwitz(s_dec, 1, 3, powers), _hurwitz(s_dec, 2, 3, powers), +1)
     if math.isinf(upper):
         raise ValueError(f"E(s) at T={T}, s={s} exceeds the float range")
     return lower, upper
@@ -393,9 +415,11 @@ def snr(lat: IwrLattice, eps: float = 1e-6) -> float:
     """Interference figure 10*log10(1/(9 E(2))) in dB for the given lattice.
 
     E(2) is certified to within eps, which must be finite and positive
-    (ValueError otherwise, as from epstein_zeta).
+    (ValueError otherwise, as from epstein_zeta, and for a minimum beyond
+    the float range).
     """
-    z = _lattice_zeta(lat, 2.0, eps)
+    _require_finite_positive(eps=eps)
+    z = _lattice_zeta(lat, 2.0, eps, _zeta_pair(2.0))
     return 10.0 * math.log10(1.0 / (9.0 * z.value))
 
 
@@ -417,13 +441,16 @@ def monotonicity_check(spec: DeterminantSpec, s: float, eps: float = 1e-9) -> Mo
 
     The report's mode is "asserted" for s >= 3, where the ordering provably
     holds, and "observational" below (the report is returned, nothing is
-    claimed).
+    claimed).  ValueError for an s or eps that epstein_zeta refuses, and
+    for a minimum beyond the float range.
     """
     from .enumeration import enumerate_iwr
 
+    _require_finite_positive(s=s, eps=eps)
+    zetas = _zeta_pair(s)  # shared by every lattice: zeta(2s) and zeta(2s-1) do not depend on the shape
     minima, values, errors = [], [], []
     for lat in enumerate_iwr(spec):
-        z = _lattice_zeta(lat, s, eps)
+        z = _lattice_zeta(lat, s, eps, zetas)
         minima.append(lat.minimum)
         values.append(z.value)
         errors.append(z.abs_error_bound)

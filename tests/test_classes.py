@@ -329,6 +329,10 @@ INVALID = [
     (SimilarityClass, (3, 3, 6, 3), ValueError, "gcd(p, q) != 1 for SimilarityClass(p=3, r=3, q=6, D=3)"),
     (SimilarityClass, (3, 4, 5, 1), ValueError,
      "2p > q for SimilarityClass(p=3, r=4, q=5, D=1) (angle outside [pi/3, pi/2])"),
+    (DeterminantSpec, (2.5, 5), NotIntegralError, "M must be an int, got 2.5"),
+    (DeterminantSpec, (True, 5), NotIntegralError, "M must be an int, got True"),
+    (DeterminantSpec, (24, True), NotIntegralError, "D must be an int, got True"),
+    (DeterminantSpec, (24, 5.0), NotIntegralError, "D must be an int, got 5.0"),
     (DeterminantSpec, (0, 5), ValueError, "M must be >= 1, got 0"),
     (DeterminantSpec, (24, 0), ValueError, "D must be squarefree >= 1, got 0"),
     (DeterminantSpec, (24, 12), ValueError, "D must be squarefree >= 1, got 12"),

@@ -14,6 +14,8 @@ from iwrlat.zeta import (
     _DECIMAL_FOR_FLOAT,
     _LN_PRIMES,
     _hurwitz,
+    _lattice_zeta,
+    _zeta_pair,
     epstein_bounds,
     epstein_zeta,
     monotonicity_check,
@@ -156,6 +158,11 @@ def test_out_of_float_range_raises_value_error():
         epstein_zeta(1.0, 1.0, 1e6, 1.0)
     with pytest.raises(ValueError, match="below the float range"):
         epstein_zeta(1e300, 1e300, 2.0, 1e-6)
+    # a minimum beyond the float range used to escape float() as OverflowError
+    with pytest.raises(ValueError, match="minimum exceeds the float range"):
+        snr(IwrLattice(HEX, 10**400))
+    with pytest.raises(ValueError, match="minimum exceeds the float range"):
+        monotonicity_check(DeterminantSpec(10**400, 1), 3.0)
 
 
 def test_large_s_cancellation_is_refused():
@@ -264,20 +271,25 @@ def test_epstein_bounds_are_the_closed_forms_rounded_outward(s):
 @pytest.mark.parametrize("s", (1 + 1e-6, 1.05, 2.0, 10.0, 100.0))
 def test_hurwitz_error_bound_holds(s):
     # near s = 1 the truncation remainder dominates the bound, at s = 100 the
-    # rounding allowance does; each must cover the error against 60 digits
+    # rounding allowance does; each must cover the error against 60 digits.
+    # The five sums share one table of p^-s, as in epstein_bounds, and each
+    # matches the same sum run with a table of its own
+    shared = {}
     for p, q in ((1, 1), (1, 4), (3, 4), (1, 3), (2, 3)):
         with localcontext(_DECIMAL):
-            value, error = _hurwitz(Decimal(s), p, q)
+            value, error = _hurwitz(Decimal(s), p, q, shared)
+            assert (value, error) == _hurwitz(Decimal(s), p, q, {}), (s, p, q)
         with mpmath.workdps(60):
             exact = mpmath.mpf(q) ** -mpmath.mpf(s) * mpmath.zeta(mpmath.mpf(s), mpmath.mpf(p) / q)
             assert abs(mpmath.mpf(str(value)) - exact) <= mpmath.mpf(str(error)), (s, p, q)
+    assert sorted(shared) == [p for p in range(2, 52) if all(p % d for d in range(2, p))]
 
 
 @pytest.mark.parametrize("s", (1 + 2e-6, 1.1, 3.0, 4.0, 20.0))
 def test_hurwitz_error_bound_holds_at_20_digits(s):
     # epstein_zeta takes zeta(2s) and zeta(2s-1) from the 20-digit context
     with localcontext(_DECIMAL_FOR_FLOAT):
-        value, error = _hurwitz(Decimal(s), 1, 1)
+        value, error = _hurwitz(Decimal(s), 1, 1, {})
     with mpmath.workdps(60):
         assert abs(mpmath.mpf(str(value)) - mpmath.zeta(s)) <= mpmath.mpf(str(error)), s
     assert error < Decimal("1e-16") * value  # below the rounding to float
@@ -343,6 +355,12 @@ def test_monotonicity_asserted_at_s3():
     assert rep.minima == (54, 56, 58, 61)
     assert rep.decreasing_observed and rep.certified
     assert rep.inconclusive == ()
+    # zeta(2s) and zeta(2s-1) are taken once for the report; per lattice they give the same values
+    from iwrlat.enumeration import enumerate_iwr
+
+    alone = [_lattice_zeta(lat, 3.0, 1e-9, _zeta_pair(3.0)) for lat in enumerate_iwr(DeterminantSpec(24, 5))]
+    assert rep.values == tuple(z.value for z in alone)
+    assert rep.errors == tuple(z.abs_error_bound for z in alone)
 
 
 def test_monotonicity_observational_at_s2():
